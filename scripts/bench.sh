@@ -8,7 +8,11 @@
 #
 # Writes BENCH_micro.json (Google Benchmark JSON) at the repo root — the
 # perf trajectory the README's Performance section quotes — while still
-# printing the human-readable console table.
+# printing the human-readable console table.  Each benchmark runs 5
+# repetitions, interleaved in random order with the other benchmarks'
+# repetitions so that each median spans the whole run rather than a few
+# seconds of it, and only the aggregates are kept (mean, median, stddev,
+# cv); scripts/perf_gate.py compares medians, and CI records the same way.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,7 +43,7 @@ fi
 
 # Record the parallel topology alongside the numbers: Google Benchmark's
 # own num_cpus only sees the affinity mask, which hides how wide the
-# thread-pool benches (BM_FleetStep, BM_RolloutDecisionSharded) actually
+# thread-pool bench (BM_FleetStep) actually
 # ran.  LTSC_THREADS is the pool override honored across the library.
 HW_THREADS=$(nproc --all 2>/dev/null || getconf _NPROCESSORS_CONF)
 AFFINE_THREADS=$(nproc 2>/dev/null || echo "$HW_THREADS")
@@ -56,6 +60,9 @@ fi
 "$BUILD_DIR/bench/micro_perf" \
     --benchmark_filter="$FILTER" \
     --benchmark_min_time="$MIN_TIME" \
+    --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_report_aggregates_only=true \
     --benchmark_context=hw_threads="$HW_THREADS" \
     --benchmark_context=affine_threads="$AFFINE_THREADS" \
     --benchmark_context=pool_threads="$POOL_THREADS" \

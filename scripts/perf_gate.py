@@ -18,6 +18,13 @@ or never recorded into the baseline must fail the gate loudly instead of
 shrinking it.  Every missing name is reported before exiting so one run
 shows the full damage.
 
+When a file holds repetitions (--benchmark_repetitions), a name's
+"median" aggregate stands for it; the single runs and the other
+aggregates are ignored.  A file without aggregates uses the first entry
+per name.  Both scripts/bench.sh and CI record 5 interleaved
+repetitions, so one slow or fast run on a noisy host does not decide
+the gate.
+
 --calibrate BENCH divides each side's throughput by that benchmark's
 throughput *from the same file* before comparing.  With a calibration
 benchmark whose cost is unaffected by the change under test (e.g. the
@@ -50,9 +57,14 @@ def load(path):
     with open(path) as f:
         doc = json.load(f)
     out = {}
+    medians = {}
     for entry in doc.get("benchmarks", []):
-        # Keep the first (aggregate-free) entry per name.
-        out.setdefault(entry["name"], entry)
+        aggregate = entry.get("aggregate_name")
+        if aggregate == "median":
+            medians[entry["run_name"]] = entry
+        elif aggregate is None:
+            out.setdefault(entry["name"], entry)
+    out.update(medians)
     return out
 
 
@@ -112,6 +124,21 @@ def self_test():
             ]
         }
 
+    def repeated_doc(name, runs, median):
+        # Google Benchmark's layout under --benchmark_repetitions: the
+        # single runs, then aggregates named <run_name>_<aggregate>.
+        entries = [{"name": name, "run_name": name, "items_per_second": v} for v in runs]
+        for aggregate, value in (("mean", sum(runs) / len(runs)), ("median", median)):
+            entries.append(
+                {
+                    "name": f"{name}_{aggregate}",
+                    "run_name": name,
+                    "aggregate_name": aggregate,
+                    "items_per_second": value,
+                }
+            )
+        return {"benchmarks": entries}
+
     def write(tmpdir, filename, doc):
         path = os.path.join(tmpdir, filename)
         with open(path, "w") as f:
@@ -134,6 +161,25 @@ def self_test():
 
         check("matching run passes", run_gate(same, base, ["BM_Hot"], "BM_Cal", 0.20), 0)
         check("50% regression fails", run_gate(slow, base, ["BM_Hot"], "BM_Cal", 0.20), 1)
+        # The median stands for repeated runs: a slow first repetition
+        # must neither fail a healthy median nor hide a slow one.
+        base_rep = write(tmpdir, "base_rep.json", repeated_doc("BM_Hot", [1000.0] * 3, 1000.0))
+        outlier = write(
+            tmpdir, "outlier.json", repeated_doc("BM_Hot", [300.0, 990.0, 1010.0], 990.0)
+        )
+        slow_median = write(
+            tmpdir, "slow_median.json", repeated_doc("BM_Hot", [1000.0, 500.0, 480.0], 500.0)
+        )
+        check(
+            "median of repetitions passes despite one slow run",
+            run_gate(outlier, base_rep, ["BM_Hot"], None, 0.20),
+            0,
+        )
+        check(
+            "slow median of repetitions fails",
+            run_gate(slow_median, base_rep, ["BM_Hot"], None, 0.20),
+            1,
+        )
         check(
             "name missing from current is a hard error",
             run_gate(sparse, base, ["BM_Hot"], "BM_Cal", 0.20),

@@ -126,7 +126,7 @@ std::optional<util::rpm_t> rollout_controller::decide(const controller_inputs& i
 
     if (engine_ == nullptr) {
         engine_ = std::make_unique<sim::rollout_engine>(plant_->plant_config(),
-                                                        config_.max_candidates, config_.engine);
+                                                        config_.max_candidates);
     }
     if (bound_from_ != workload) {
         engine_->bind_workload(*workload);

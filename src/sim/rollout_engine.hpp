@@ -19,23 +19,14 @@
 // pure function of (state, candidates, options): it touches only
 // engine-owned lanes, never the live plant, and allocates nothing after
 // the first call (trace arena and snapshot buffers are reused).
-// Candidate lanes can additionally be sharded across a thread pool and
-// stepped under the relaxed numerics tier (rollout_engine_config):
-// shards own contiguous candidate blocks and share no mutable state, so
-// scores — and the argmin — are invariant under shard count and thread
-// count.  The defaults (one shard, serial, bitwise) preserve the exact
-// behavior above.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "sim/server_batch.hpp"
 #include "sim/server_config.hpp"
 #include "sim/server_state.hpp"
-#include "thermal/numerics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 #include "workload/loadgen.hpp"
 
@@ -80,32 +71,14 @@ struct rollout_result {
     std::vector<candidate_score> scores;  ///< One per candidate, in order.
 };
 
-/// Engine topology/numerics knobs (see the header comment; the
-/// defaults reproduce the single-shard bitwise engine exactly).
-struct rollout_engine_config {
-    /// Candidate-lane shards, each its own server_batch (>= 1, clamped
-    /// to the candidate count).
-    std::size_t shards = 1;
-    /// Pool width for stepping shards; 1 runs serially on the caller,
-    /// 0 means one thread per hardware thread.
-    std::size_t threads = 1;
-    /// Thermal-kernel numerics of the candidate lanes.  Relaxed trades
-    /// the bitwise prediction == realization contract for vector-speed
-    /// integration (predictions stay tolerance-close to the plant).
-    thermal::numerics_tier tier = thermal::numerics_tier::bitwise;
-};
-
 /// K-lane rollout evaluator over one plant configuration.
 class rollout_engine {
 public:
     /// Builds the candidate lanes.  `config` must equal the controlled
     /// plant's configuration (the snapshot APIs validate the shapes).
-    rollout_engine(const server_config& config, std::size_t max_candidates,
-                   rollout_engine_config engine_config = {});
+    rollout_engine(const server_config& config, std::size_t max_candidates);
 
-    [[nodiscard]] std::size_t max_candidates() const { return max_candidates_; }
-    [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-    [[nodiscard]] thermal::numerics_tier tier() const { return shards_.front()->tier(); }
+    [[nodiscard]] std::size_t max_candidates() const { return batch_.lane_count(); }
 
     /// Installs the workload preview every rollout lane steps against
     /// (the plant's own loadgen — the paper's profiles are known in
@@ -134,24 +107,11 @@ public:
                                                  const std::vector<fan_schedule>& candidates,
                                                  const rollout_options& options);
 
-    /// The first shard's lane batch (tests inspect traces of the last
-    /// evaluation; with the default single-shard config this is every
-    /// candidate lane).  For sharded engines use candidate_trace().
-    [[nodiscard]] const server_batch& lanes() const { return *shards_.front(); }
-
-    /// Trace of candidate `l`'s last rollout, addressed across shards.
-    [[nodiscard]] trace_view candidate_trace(std::size_t l) const;
+    /// The lane batch (tests inspect traces of the last evaluation).
+    [[nodiscard]] const server_batch& lanes() const { return batch_; }
 
 private:
-    [[nodiscard]] std::size_t shard_of(std::size_t candidate) const;
-    void evaluate_shard(std::size_t s, std::size_t k, const server_state& start,
-                        const std::vector<fan_schedule>& candidates,
-                        const rollout_options& options);
-
-    std::size_t max_candidates_ = 0;
-    std::vector<std::unique_ptr<server_batch>> shards_;
-    std::vector<std::size_t> offsets_;  ///< [shard_count + 1] candidate offsets.
-    util::thread_pool pool_;
+    server_batch batch_;
     bool workload_bound_ = false;
     rollout_result result_;  ///< Reused per-evaluation scratch.
 };

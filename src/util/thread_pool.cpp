@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "util/error.hpp"
 
@@ -14,6 +15,25 @@ std::size_t resolve_thread_count(std::size_t requested) {
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return std::max<std::size_t>(1, hw);
+}
+
+// How long an idle thread keeps yielding before it parks.  Long enough
+// to bridge the gap between two batches of sub-millisecond jobs, short
+// enough that a pool idling between long batches costs next to nothing.
+constexpr std::chrono::microseconds kSpinBeforePark{200};
+
+// Yields until `done()` holds or the spin budget runs out; returns
+// whether `done()` held.
+template <class Pred>
+bool spin_until(Pred done) {
+    const auto deadline = std::chrono::steady_clock::now() + kSpinBeforePark;
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            return false;
+        }
+        std::this_thread::yield();
+    }
+    return true;
 }
 
 }  // namespace
@@ -61,15 +81,18 @@ void thread_pool::work_through() {
 
 void thread_pool::worker_loop() {
     std::uint64_t seen_generation = 0;
+    const auto new_batch = [&] { return generation_ != seen_generation; };
     while (true) {
-        {
+        // Spin only between batches: a pool that has not run one yet
+        // parks at once rather than compete with the thread building it.
+        if (seen_generation == 0 || !spin_until(new_batch)) {
             std::unique_lock<std::mutex> lock(mutex_);
-            work_ready_.wait(lock, [&] { return stopping_ || generation_ != seen_generation; });
+            work_ready_.wait(lock, [&] { return stopping_ || new_batch(); });
             if (stopping_) {
                 return;
             }
-            seen_generation = generation_;
         }
+        seen_generation = generation_;
         work_through();
         {
             const std::lock_guard<std::mutex> lock(mutex_);
@@ -100,10 +123,12 @@ void thread_pool::run_indexed(std::size_t job_count,
     // The calling thread is a full member of the pool.
     work_through();
 
+    const auto all_done = [&] { return busy_workers_ == 0; };
+    spin_until(all_done);
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        batch_done_.wait(lock, [&] { return busy_workers_ == 0; });
+        batch_done_.wait(lock, all_done);
         job_ = nullptr;
         error = first_error_;
         first_error_ = nullptr;

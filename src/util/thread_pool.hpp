@@ -6,6 +6,14 @@
 // so results keyed by index are deterministic regardless of thread count
 // or scheduling; the caller's thread participates in the work, and a pool
 // constructed with one thread degrades to a plain serial loop.
+//
+// Between batches an idle worker (and a caller waiting on stragglers)
+// yields in a short bounded spin before it parks on a condition
+// variable, so back-to-back batches, such as one fleet step after
+// another, find the workers awake on their own CPUs.  Parking after
+// every batch made each batch a wake-up, and a guest scheduler with idle
+// vCPUs may place woken workers on the caller's CPU and keep them there,
+// running the whole batch serially on one core.
 #pragma once
 
 #include <atomic>
@@ -53,8 +61,9 @@ private:
     const std::function<void(std::size_t)>* job_ = nullptr;
     std::size_t job_count_ = 0;
     std::atomic<std::size_t> next_index_{0};
-    std::size_t busy_workers_ = 0;
-    std::uint64_t generation_ = 0;
+    // Changed only under mutex_; the bounded spins read them without it.
+    std::atomic<std::size_t> busy_workers_{0};
+    std::atomic<std::uint64_t> generation_{0};
     bool stopping_ = false;
     std::exception_ptr first_error_;
 };

@@ -1,19 +1,27 @@
 // Property-based and parameterized sweeps over the library's invariants:
 // monotonicity laws, conservation, optimality of the LUT, controller
-// safety contracts, and solver agreement — each checked across a grid of
-// operating points via TEST_P.
+// safety and behavioural contracts, and solver agreement — each checked
+// across a grid of operating points or policies via TEST_P.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/bang_bang_controller.hpp"
 #include "core/characterization.hpp"
 #include "core/controller_runtime.hpp"
 #include "core/default_controller.hpp"
+#include "core/extremum_seeking_controller.hpp"
+#include "core/failsafe_controller.hpp"
+#include "core/fan_lut.hpp"
 #include "core/lut_controller.hpp"
+#include "core/pid_controller.hpp"
+#include "core/zone_lut_controller.hpp"
 #include "power/fan_model.hpp"
 #include "power/leakage_model.hpp"
 #include "sim/experiment.hpp"
@@ -182,27 +190,54 @@ TEST_P(LutOptimality, ChosenRpmMinimizesFanPlusLeakageUnderCap) {
 INSTANTIATE_TEST_SUITE_P(PaperUtilGrid, LutOptimality,
                          ::testing::Values(10.0, 25.0, 40.0, 50.0, 60.0, 75.0, 90.0, 100.0));
 
+// --- the controllers under test ------------------------------------------------------
+
+enum class contract_policy { standard, bang, lut, pid, extremum_seeking, zone_lut, failsafe_bang };
+
+const core::fan_lut& paper_lut() {
+    static const core::fan_lut lut = [] {
+        sim::server_simulator s;
+        return core::characterize(s).lut;
+    }();
+    return lut;
+}
+
+std::unique_ptr<core::fan_controller> make_policy(contract_policy p) {
+    switch (p) {
+        case contract_policy::standard:
+            return std::make_unique<core::default_controller>();
+        case contract_policy::bang:
+            return std::make_unique<core::bang_bang_controller>();
+        case contract_policy::lut:
+            return std::make_unique<core::lut_controller>(paper_lut());
+        case contract_policy::pid:
+            return std::make_unique<core::pid_controller>();
+        case contract_policy::extremum_seeking:
+            return std::make_unique<core::extremum_seeking_controller>();
+        case contract_policy::zone_lut:
+            return std::make_unique<core::zone_lut_controller>(paper_lut());
+        case contract_policy::failsafe_bang:
+            return std::make_unique<core::failsafe_controller>(
+                std::make_unique<core::bang_bang_controller>());
+    }
+    return nullptr;
+}
+
 // --- controller safety across all paper tests ---------------------------------------
 
 struct safety_case {
     workload::paper_test test;
+    contract_policy policy;
     const char* controller;
 };
 
 class ControllerSafety : public ::testing::TestWithParam<safety_case> {};
 
 TEST_P(ControllerSafety, TemperatureAndRateContracts) {
-    const auto [test, controller_name] = GetParam();
+    const safety_case c = GetParam();
     sim::server_simulator s;
-    std::unique_ptr<core::fan_controller> controller;
-    if (std::string(controller_name) == "Bang") {
-        controller = std::make_unique<core::bang_bang_controller>();
-    } else if (std::string(controller_name) == "LUT") {
-        controller = std::make_unique<core::lut_controller>(core::characterize(s).lut);
-    } else {
-        controller = std::make_unique<core::default_controller>();
-    }
-    const auto profile = workload::make_paper_test(test);
+    const std::unique_ptr<core::fan_controller> controller = make_policy(c.policy);
+    const auto profile = workload::make_paper_test(c.test);
     const auto m = core::run_controlled(s, *controller, profile);
 
     // Safety: never approach the 90 degC critical threshold.
@@ -212,7 +247,7 @@ TEST_P(ControllerSafety, TemperatureAndRateContracts) {
     EXPECT_LE(s.trace().avg_fan_rpm().max(), 4200.0 + 1e-9);
 
     // LUT rate limit: at most one change per minute outside emergencies.
-    if (std::string(controller_name) == "LUT") {
+    if (c.policy == contract_policy::lut) {
         const util::column_view rpm = s.trace().avg_fan_rpm();
         double last_change = -1e9;
         for (std::size_t i = 1; i < rpm.size(); ++i) {
@@ -227,19 +262,204 @@ TEST_P(ControllerSafety, TemperatureAndRateContracts) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllTestsAllControllers, ControllerSafety,
-    ::testing::Values(safety_case{workload::paper_test::test1_ramp, "Default"},
-                      safety_case{workload::paper_test::test1_ramp, "Bang"},
-                      safety_case{workload::paper_test::test1_ramp, "LUT"},
-                      safety_case{workload::paper_test::test2_periods, "Bang"},
-                      safety_case{workload::paper_test::test2_periods, "LUT"},
-                      safety_case{workload::paper_test::test3_frequent, "Bang"},
-                      safety_case{workload::paper_test::test3_frequent, "LUT"},
-                      safety_case{workload::paper_test::test4_poisson, "Bang"},
-                      safety_case{workload::paper_test::test4_poisson, "LUT"}),
+    ::testing::Values(
+        safety_case{workload::paper_test::test1_ramp, contract_policy::standard, "Default"},
+        safety_case{workload::paper_test::test1_ramp, contract_policy::bang, "Bang"},
+        safety_case{workload::paper_test::test1_ramp, contract_policy::lut, "LUT"},
+        safety_case{workload::paper_test::test2_periods, contract_policy::bang, "Bang"},
+        safety_case{workload::paper_test::test2_periods, contract_policy::lut, "LUT"},
+        safety_case{workload::paper_test::test3_frequent, contract_policy::bang, "Bang"},
+        safety_case{workload::paper_test::test3_frequent, contract_policy::lut, "LUT"},
+        safety_case{workload::paper_test::test4_poisson, contract_policy::bang, "Bang"},
+        safety_case{workload::paper_test::test4_poisson, contract_policy::lut, "LUT"}),
     [](const ::testing::TestParamInfo<safety_case>& info) {
         return std::string("T") +
                std::to_string(static_cast<int>(info.param.test)) + info.param.controller;
     });
+
+// --- controller behavioural contracts ------------------------------------------------
+//
+// After the thermald fan-controller tests: every policy is driven
+// straight through decide_zones with synthetic observations, its command
+// fed back as the current zone speeds and the die temperature held where
+// the test puts it.  No plant is in the loop, so a failure here points at
+// the policy, not at the thermal model.
+
+struct contract_case {
+    contract_policy policy;
+    const char* name;
+    double floor_rpm;  ///< Speed the policy winds down to (a fixed-speed policy's only speed).
+    double peak_rpm;   ///< Speed it must reach at a hot die.
+    /// Settles without commanding changes at an idle, cold server.  The
+    /// extremum seeker cannot: perturb-and-observe keeps probing one
+    /// step off the floor (the dithering its header names as the case
+    /// for the LUT), so for it the contract bounds the dither instead.
+    bool holds_at_idle;
+};
+
+void PrintTo(const contract_case& c, std::ostream* os) { *os << c.name; }
+
+constexpr double kMinRpm = 1800.0;
+constexpr double kMaxRpm = 4200.0;
+constexpr double kHotDieC = 95.0;
+constexpr double kColdDieC = 30.0;
+constexpr int kReachDecisions = 5;  ///< Wind-up/wind-down budget, in decisions.
+
+/// Closed decision loop over synthetic observations of a 3-pair server.
+class contract_loop {
+public:
+    contract_loop(core::fan_controller& c, double start_rpm)
+        : c_(c), zones_(3, util::rpm_t{start_rpm}) {}
+
+    /// One decision at the given die temperature, utilization and
+    /// telemetry age; the clock advances by the policy's own period.
+    void decide(double die_c, double util_pct, double sensor_age_s = 0.0) {
+        now_s_ += c_.polling_period().value();
+        const auto cmd = c_.decide_zones(inputs(die_c, util_pct, sensor_age_s));
+        if (!cmd.has_value()) {
+            return;
+        }
+        ASSERT_EQ(cmd->size(), zones_.size()) << c_.name();
+        bool changed = false;
+        for (std::size_t z = 0; z < cmd->size(); ++z) {
+            const double v = (*cmd)[z].value();
+            slowest_ = std::min(slowest_, v);
+            fastest_ = std::max(fastest_, v);
+            changed = changed || v != zones_[z].value();
+        }
+        changes_ += changed ? 1 : 0;
+        zones_ = *cmd;
+    }
+
+    [[nodiscard]] bool all_zones_at(double rpm) const {
+        return std::all_of(zones_.begin(), zones_.end(),
+                           [rpm](util::rpm_t z) { return z.value() == rpm; });
+    }
+    [[nodiscard]] bool all_zones_at_least(double rpm) const {
+        return std::all_of(zones_.begin(), zones_.end(),
+                           [rpm](util::rpm_t z) { return z.value() >= rpm; });
+    }
+    [[nodiscard]] int changes() const { return changes_; }
+    /// Extremes over every command issued so far (no command: +inf/-inf).
+    [[nodiscard]] double slowest_command() const { return slowest_; }
+    [[nodiscard]] double fastest_command() const { return fastest_; }
+    void reset_counters() {
+        changes_ = 0;
+        slowest_ = std::numeric_limits<double>::infinity();
+        fastest_ = -std::numeric_limits<double>::infinity();
+    }
+
+private:
+    [[nodiscard]] core::controller_inputs inputs(double die_c, double util_pct,
+                                                 double sensor_age_s) const {
+        core::controller_inputs in;
+        in.now = util::seconds_t{now_s_};
+        in.utilization_pct = util_pct;
+        in.max_cpu_temp = util::celsius_t{die_c};
+        double sum = 0.0;
+        double fan_w = 0.0;
+        for (const util::rpm_t z : zones_) {
+            sum += z.value();
+            fan_w += 29.0 * std::pow(z.value() / kMaxRpm, 3.0);  // cubic fan law per pair
+        }
+        in.current_rpm = util::rpm_t{sum / static_cast<double>(zones_.size())};
+        in.system_power = util::watts_t{250.0 + 1.5 * util_pct + fan_w};
+        in.sensor_age_s = sensor_age_s;
+        in.socket_util_pct = {util_pct, util_pct};
+        in.socket_temp_c = {die_c, die_c};
+        in.zone_rpm = zones_;
+        in.cpu_sensor_c = {die_c, die_c, die_c, die_c};
+        return in;
+    }
+
+    core::fan_controller& c_;
+    std::vector<util::rpm_t> zones_;
+    double now_s_ = 0.0;
+    int changes_ = 0;
+    double slowest_ = std::numeric_limits<double>::infinity();
+    double fastest_ = -std::numeric_limits<double>::infinity();
+};
+
+class ControllerContracts : public ::testing::TestWithParam<contract_case> {};
+
+TEST_P(ControllerContracts, WindUpReachesPeakAtHotDie) {
+    const contract_case& k = GetParam();
+    const auto c = make_policy(k.policy);
+    contract_loop loop(*c, kMinRpm);
+    for (int i = 0; i < kReachDecisions; ++i) {
+        loop.decide(kHotDieC, 100.0);
+    }
+    EXPECT_TRUE(loop.all_zones_at_least(k.peak_rpm))
+        << c->name() << " did not reach " << k.peak_rpm << " rpm within " << kReachDecisions
+        << " decisions at a hot die";
+    // A hot die keeps it there.
+    for (int i = 0; i < 50; ++i) {
+        loop.decide(kHotDieC, 100.0);
+    }
+    EXPECT_TRUE(loop.all_zones_at_least(k.peak_rpm)) << c->name();
+}
+
+TEST_P(ControllerContracts, WindDownReachesFloorAtColdDie) {
+    const contract_case& k = GetParam();
+    const auto c = make_policy(k.policy);
+    contract_loop loop(*c, kMaxRpm);
+    for (int i = 0; i < kReachDecisions; ++i) {
+        loop.decide(kColdDieC, 0.0);
+    }
+    EXPECT_TRUE(loop.all_zones_at(k.floor_rpm))
+        << c->name() << " did not reach " << k.floor_rpm << " rpm within " << kReachDecisions
+        << " decisions at a cold die";
+    EXPECT_GE(loop.slowest_command(), k.floor_rpm) << c->name() << " undershot its floor";
+}
+
+TEST_P(ControllerContracts, NoFanWearAtIdle) {
+    const contract_case& k = GetParam();
+    const auto c = make_policy(k.policy);
+    contract_loop loop(*c, kMaxRpm);
+    for (int i = 0; i < 20; ++i) {
+        loop.decide(kColdDieC, 0.0);
+    }
+    loop.reset_counters();
+    for (int i = 0; i < 100; ++i) {
+        loop.decide(kColdDieC, 0.0);
+    }
+    if (k.holds_at_idle) {
+        EXPECT_EQ(loop.changes(), 0) << c->name() << " changed speed at an idle, cold server";
+    } else {
+        // Probing stays one 600 rpm step off the floor, never further.
+        EXPECT_GE(loop.slowest_command(), k.floor_rpm) << c->name();
+        EXPECT_LE(loop.fastest_command(), k.floor_rpm + 600.0) << c->name();
+    }
+}
+
+TEST_P(ControllerContracts, CommandsStayInLegalRange) {
+    const contract_case& k = GetParam();
+    const auto c = make_policy(k.policy);
+    contract_loop loop(*c, kMinRpm);
+    util::pcg32 rng(0xc0ffee, 3);
+    for (int i = 0; i < 400; ++i) {
+        // Die 20-110 degC, any load, and every eighth decision on stale
+        // telemetry so the failsafe override is exercised too.
+        const double die_c = rng.uniform(20.0, 110.0);
+        const double util_pct = rng.uniform(0.0, 100.0);
+        loop.decide(die_c, util_pct, i % 8 == 7 ? 60.0 : 0.0);
+    }
+    ASSERT_GT(loop.changes(), 0) << c->name() << " never commanded anything";
+    EXPECT_GE(loop.slowest_command(), kMinRpm) << c->name();
+    EXPECT_LE(loop.fastest_command(), kMaxRpm) << c->name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllControllers, ControllerContracts,
+    ::testing::Values(
+        contract_case{contract_policy::standard, "Default", 3300.0, 3300.0, true},
+        contract_case{contract_policy::bang, "Bang", kMinRpm, kMaxRpm, true},
+        contract_case{contract_policy::lut, "LUT", kMinRpm, kMaxRpm, true},
+        contract_case{contract_policy::pid, "PID", kMinRpm, kMaxRpm, true},
+        contract_case{contract_policy::extremum_seeking, "ExtremumSeek", kMinRpm, kMaxRpm, false},
+        contract_case{contract_policy::zone_lut, "ZoneLUT", kMinRpm, kMaxRpm, true},
+        contract_case{contract_policy::failsafe_bang, "FailsafeBang", kMinRpm, kMaxRpm, true}),
+    [](const ::testing::TestParamInfo<contract_case>& info) { return info.param.name; });
 
 // --- solver agreement ------------------------------------------------------------------
 

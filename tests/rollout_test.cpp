@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/bang_bang_controller.hpp"
@@ -243,6 +244,15 @@ TEST(Rollout, EngineRejectsBadInputs) {
     opt.horizon = 0_s;
     EXPECT_THROW(static_cast<void>(engine.evaluate(snap, {{{2400_rpm}}}, opt)),
                  util::precondition_error);
+}
+
+TEST(Rollout, EngineRejectsZeroCandidateLanesWithItsOwnMessage) {
+    try {
+        const sim::rollout_engine engine(sim::paper_server(), 0);
+        FAIL() << "a zero-lane engine was built";
+    } catch (const util::precondition_error& e) {
+        EXPECT_NE(std::string(e.what()).find("rollout_engine"), std::string::npos) << e.what();
+    }
 }
 
 TEST(Rollout, FleetOfRolloutControllersMatchesScalarRuns) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -32,6 +34,19 @@ TEST(ThreadPool, ReusableAcrossBatches) {
         pool.run_indexed(10, [&](std::size_t) { ++total; });
     }
     EXPECT_EQ(total.load(), 50);
+}
+
+TEST(ThreadPool, SpinningAndParkedWorkersBothPickUpBatches) {
+    // Back-to-back batches reach workers still spinning from the last
+    // one; a pause longer than the spin budget makes them park first.
+    thread_pool pool(4);
+    std::atomic<int> total{0};
+    for (int batch = 0; batch < 2000; ++batch) {
+        pool.run_indexed(4, [&](std::size_t) { ++total; });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    pool.run_indexed(4, [&](std::size_t) { ++total; });
+    EXPECT_EQ(total.load(), 2001 * 4);
 }
 
 TEST(ThreadPool, EmptyBatchIsANoOp) {
