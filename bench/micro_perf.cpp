@@ -25,6 +25,7 @@
 #include "util/spsc_ring.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "thermal/steady_state.hpp"
+#include "workload/loadgen.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/queueing.hpp"
 
@@ -371,6 +372,21 @@ void BM_MmcSimulation(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MmcSimulation)->Arg(600)->Arg(4800);
+
+void BM_MeasuredUtilization(benchmark::State& state) {
+    // The runtime's per-decision reading: a 240 s window over the
+    // many-ramp Test-4 profile.  `t` advances 1 s per call (wrapping
+    // inside the profile) so every call misses the one-entry memo.
+    const workload::loadgen gen(workload::make_paper_test(workload::paper_test::test4_poisson));
+    const double end = gen.profile().duration().value();
+    double t = 240.0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.measured_utilization(util::seconds_t{t}, 240_s));
+        t = t + 1.0 < end ? t + 1.0 : 240.0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MeasuredUtilization);
 
 void BM_FullTable1Cell(benchmark::State& state) {
     // One Table-I cell: an 80-minute closed-loop run.

@@ -149,15 +149,19 @@ sim::run_metrics run_controlled(sim::server_simulator& sim, fan_controller& cont
     return sim::compute_metrics(sim, profile.name(), controller.name());
 }
 
-std::vector<sim::run_metrics> run_controlled_batch(
-    sim::server_batch& batch, const std::vector<fan_controller*>& controllers,
-    const std::vector<workload::utilization_profile>& profiles, const runtime_config& config) {
+namespace {
+
+/// The closed loop behind run_controlled_batch and run_controlled_fleet:
+/// lane l of `batch` runs controllers[l] against profiles[l], for the
+/// batch's n lanes.  Taking the lanes by pointer lets a fleet shard run
+/// on its block of the caller's vectors without copying the profiles.
+std::vector<sim::run_metrics> run_batch_lanes(sim::server_batch& batch,
+                                              fan_controller* const* controllers,
+                                              const workload::utilization_profile* profiles,
+                                              const runtime_config& config) {
     util::ensure(config.sim_dt.value() > 0.0, "run_controlled_batch: non-positive step");
     util::ensure(config.util_window.value() > 0.0, "run_controlled_batch: non-positive window");
     const std::size_t n = batch.lane_count();
-    util::ensure(controllers.size() == n,
-                 "run_controlled_batch: controller count != lane count");
-    util::ensure(profiles.size() == n, "run_controlled_batch: profile count != lane count");
     util::ensure(n > 0, "run_controlled_batch: empty batch");
     // Number of plant steps the scalar loop would take for a duration
     // (durations may differ by segment-accumulation rounding; what
@@ -195,7 +199,7 @@ std::vector<sim::run_metrics> run_controlled_batch(
     for (std::size_t l = 0; l < n; ++l) {
         plant_views.emplace_back(batch, l);
     }
-    const plant_attachments attached(controllers);
+    const plant_attachments attached(std::vector<fan_controller*>(controllers, controllers + n));
     for (std::size_t l = 0; l < n; ++l) {
         batch.set_all_fans(l, config.initial_rpm);
         batch.reset_fan_change_counter(l);
@@ -233,6 +237,18 @@ std::vector<sim::run_metrics> run_controlled_batch(
     return out;
 }
 
+}  // namespace
+
+std::vector<sim::run_metrics> run_controlled_batch(
+    sim::server_batch& batch, const std::vector<fan_controller*>& controllers,
+    const std::vector<workload::utilization_profile>& profiles, const runtime_config& config) {
+    const std::size_t n = batch.lane_count();
+    util::ensure(controllers.size() == n,
+                 "run_controlled_batch: controller count != lane count");
+    util::ensure(profiles.size() == n, "run_controlled_batch: profile count != lane count");
+    return run_batch_lanes(batch, controllers.data(), profiles.data(), config);
+}
+
 std::vector<sim::run_metrics> run_controlled_fleet(
     sim::fleet& fleet, const std::vector<fan_controller*>& controllers,
     const std::vector<workload::utilization_profile>& profiles, const runtime_config& config) {
@@ -243,15 +259,8 @@ std::vector<sim::run_metrics> run_controlled_fleet(
     std::vector<sim::run_metrics> out(n);
     fleet.for_each_shard([&](std::size_t s) {
         const std::size_t lo = fleet.shard_offset(s);
-        const std::size_t hi = fleet.shard_offset(s + 1);
-        const std::vector<fan_controller*> shard_controllers(
-            controllers.begin() + static_cast<std::ptrdiff_t>(lo),
-            controllers.begin() + static_cast<std::ptrdiff_t>(hi));
-        const std::vector<workload::utilization_profile> shard_profiles(
-            profiles.begin() + static_cast<std::ptrdiff_t>(lo),
-            profiles.begin() + static_cast<std::ptrdiff_t>(hi));
         std::vector<sim::run_metrics> metrics =
-            run_controlled_batch(fleet.shard(s), shard_controllers, shard_profiles, config);
+            run_batch_lanes(fleet.shard(s), controllers.data() + lo, profiles.data() + lo, config);
         std::move(metrics.begin(), metrics.end(), out.begin() + static_cast<std::ptrdiff_t>(lo));
     });
     return out;

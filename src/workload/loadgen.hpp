@@ -11,6 +11,7 @@
 #pragma once
 
 #include <mutex>
+#include <vector>
 
 #include "util/time_series.hpp"
 #include "util/units.hpp"
@@ -35,9 +36,10 @@ public:
     /// Binds the generator to a profile.  The profile is copied.
     loadgen(utilization_profile profile, const loadgen_config& config = {});
 
-    // Copy/move transfer the binding, not the memo: the cache is a
-    // per-instance performance detail, and starting it cold keeps the
-    // mutex non-copyable problem out of the special members.
+    // Copy/move transfer the binding and its busy-slot index, not the
+    // memo: the cache is a per-instance performance detail, and starting
+    // it cold keeps the mutex non-copyable problem out of the special
+    // members.
     loadgen(const loadgen& other);
     loadgen(loadgen&& other) noexcept;
     loadgen& operator=(const loadgen& other);
@@ -57,15 +59,22 @@ public:
     /// instantaneous utilization over the window [t - window, t].
     /// Deterministic in (t, window); the last result is memoized because
     /// the controller runtime asks for the same instant several times per
-    /// decision (system plus per-socket views).  Thread-safe: one
-    /// loadgen is shared by every rollout lane (bind_workload copies
-    /// nothing), so the memo mutates under `const` from concurrent
-    /// evaluations — the cache is mutex-guarded, and a racing miss at
-    /// worst recomputes the same deterministic value.
+    /// decision (system plus per-socket views).  Thread-safe: every
+    /// binding copies its loadgen (server_batch::bind_workload takes it
+    /// by value, and rollout_engine::bind_workload copies it into each
+    /// lane), but a caller may still read one instance from several
+    /// threads, so the memo mutates under `const` concurrently — the
+    /// cache is mutex-guarded, and a racing miss at worst recomputes the
+    /// same deterministic value.
     ///
-    /// Evaluation is analytic — O(profile segments) counting of busy
-    /// duty slots, not a sweep of the window — and *bitwise equal* to
-    /// the reference Riemann sum below: every sample of that sum is
+    /// Evaluation is analytic and costs O(log profile segments) plus the
+    /// slots of the two segments holding the window's edges: at
+    /// construction the loadgen counts each segment's busy duty slots
+    /// once (one pass over the profile's ramp slots) and keeps a running
+    /// prefix of them (two `long long` per segment), so a reading takes
+    /// the segments between its edges from the prefix instead of
+    /// sweeping the window.  It is *bitwise equal* to the reference
+    /// Riemann sum below: every sample of that sum is
     /// either 0 or the stress peak, adding 0.0 is exact, and on the
     /// dyadic quarter-second grid the sample positions, the duty-edge
     /// comparisons, and the accumulated sum are all reproduced exactly
@@ -90,11 +99,29 @@ private:
     /// dyadic grid the exactness argument needs.
     [[nodiscard]] bool measured_analytic(double t0, double t1, double& out) const;
 
+    /// Busy quarter-second slots among slots [lo, hi) of segment `s`,
+    /// which must hold them all: closed-form residue counting for a
+    /// constant segment on a dyadic period, slot sampling otherwise.
+    [[nodiscard]] long long busy_slots(const utilization_profile::segment& s, long long lo,
+                                       long long hi) const;
+
+    /// Fills the busy-slot index below; leaves it empty for
+    /// configurations that take the sampled fallback.
+    void build_busy_prefix();
+
     utilization_profile profile_;
     loadgen_config config_;
 
+    // Busy-slot index over the whole profile, one entry per segment plus
+    // an end sentinel: segment k owns slots [segment_first_slot_[k],
+    // segment_first_slot_[k + 1]), and busy_prefix_[k] counts the busy
+    // slots of segments [0, k).  Empty for configurations that take the
+    // sampled fallback (PWM period < 16 s).
+    std::vector<long long> segment_first_slot_;
+    std::vector<long long> busy_prefix_;
+
     // One-entry memo for measured_utilization (see above), guarded by
-    // its mutex because a shared loadgen is read from many threads.
+    // its mutex because one loadgen may be read from many threads.
     mutable std::mutex measured_cache_mutex_;
     mutable bool measured_cache_valid_ = false;
     mutable double measured_cache_t_ = 0.0;

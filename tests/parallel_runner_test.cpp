@@ -5,10 +5,10 @@
 // and its saturating overflow both previously leaked through as thread
 // counts.  Malformed values fall back to hardware concurrency (0).
 //
-// LoadgenRace: one loadgen is shared by every rollout lane and every
-// batch lane bound to it, so its measured_utilization memo cache mutates
-// under `const` from many threads at once.  The hammer test drives that
-// exact pattern; under ThreadSanitizer (LTSC_SANITIZE=thread) the
+// LoadgenRace: lane bindings copy their loadgen, but one instance may
+// still be read from many threads at once, so its measured_utilization
+// memo cache mutates under `const` concurrently.  The hammer test drives
+// that pattern; under ThreadSanitizer (LTSC_SANITIZE=thread) the
 // pre-mutex cache reports a data race here.
 #include <gtest/gtest.h>
 
@@ -74,9 +74,9 @@ TEST_F(ThreadsFromEnv, RejectsMalformedValuesToHardwareDefault) {
 }
 
 TEST(LoadgenRace, SharedMemoCacheIsThreadSafeAndExact) {
-    // The shape rollout evaluation produces: one shared loadgen, many
-    // threads asking measured_utilization at a mix of repeated (cache
-    // hit) and fresh (cache replace) instants, concurrently.
+    // One shared loadgen, many threads asking measured_utilization at a
+    // mix of repeated (cache hit) and fresh (cache replace) instants,
+    // concurrently.
     workload::utilization_profile p("race");
     p.constant(40.0, 600_s).ramp(40.0, 95.0, 600_s).constant(95.0, 600_s);
     const workload::loadgen shared(p);

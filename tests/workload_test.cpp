@@ -2,7 +2,9 @@
 // paper's four test profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -263,6 +265,39 @@ TEST(PaperTests, NamesAreStable) {
 
 // --- analytic measured_utilization vs the sampled reference ---------------
 
+/// (t, window) pairs whose edges the busy-slot prefix path treats
+/// specially: on a segment boundary, mid-segment (mid-ramp on ramp
+/// profiles), both edges inside one segment, the start clipped at
+/// t = 0, and windows reaching or lying past the profile end.
+std::vector<std::pair<double, double>> edge_windows(const utilization_profile& p) {
+    const auto quarter = [](double x) { return std::floor(x * 4.0) / 4.0; };
+    const auto mid = [&](const utilization_profile::segment& s) {
+        return quarter(0.5 * (s.t0 + s.t1));
+    };
+    const std::vector<utilization_profile::segment>& segs = p.segments();
+    std::vector<std::pair<double, double>> out;
+    const std::size_t stride = std::max<std::size_t>(1, segs.size() / 8);
+    for (std::size_t k = 0; k < segs.size(); k += stride) {
+        const utilization_profile::segment& s = segs[k];
+        const utilization_profile::segment& earlier = segs[k / 2];
+        for (const double t : {s.t1, mid(s)}) {
+            for (const double start : {earlier.t0, mid(earlier), s.t0}) {
+                if (t > start) {
+                    out.emplace_back(t, t - start);
+                }
+            }
+            out.emplace_back(t, 1.0);       // one segment holds both edges
+            out.emplace_back(t, t + 60.0);  // start clipped to t = 0
+        }
+    }
+    const double dur = p.duration().value();
+    for (const double t : {dur, dur + 50.0, dur + 500.0}) {
+        out.emplace_back(t, 240.0);
+        out.emplace_back(t, t);  // the whole profile
+    }
+    return out;
+}
+
 TEST(Loadgen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
     util::pcg32 rng(0xfeedbeef, 9);
     std::vector<workload::loadgen_config> configs;
@@ -287,10 +322,19 @@ TEST(Loadgen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
         p.constant(41.7, util::seconds_t{333.33}).constant(63.9, util::seconds_t{777.77});
         profiles.push_back(p);
     }
+    // The many-ramp profile closed-loop fleets run: 5 s ramps throughout.
+    profiles.push_back(workload::make_paper_test(workload::paper_test::test4_poisson, 11));
 
     for (const auto& lc : configs) {
         for (const auto& profile : profiles) {
             const workload::loadgen gen(profile, lc);
+            for (const auto& [t, window] : edge_windows(profile)) {
+                const util::seconds_t at{t};
+                const util::seconds_t w{window};
+                ASSERT_EQ(gen.measured_utilization(at, w), gen.measured_utilization_sampled(at, w))
+                    << "period=" << lc.pwm_period.value() << " intensity=" << lc.stress_intensity
+                    << " profile=" << profile.name() << " t=" << t << " window=" << window;
+            }
             const double dur = profile.duration().value();
             for (int i = 0; i < 40; ++i) {
                 // Integer-second instants (the runtime's cadence) plus a
@@ -313,6 +357,41 @@ TEST(Loadgen, AnalyticMeasuredUtilizationMatchesSampledBitwise) {
                     << "period=" << lc.pwm_period.value() << " intensity=" << lc.stress_intensity
                     << " profile=" << profile.name() << " t=" << t << " window=" << window;
             }
+        }
+    }
+
+    // Copies, moves and both assignments must carry the source's
+    // busy-slot index: targets start on another profile and config (with
+    // a warm memo), so a stale index or memo would show as a mismatch
+    // against a freshly built loadgen.
+    const utilization_profile& test4 = profiles.back();
+    const utilization_profile& other = profiles[1];
+    const std::vector<std::pair<double, double>> windows = edge_windows(test4);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const loadgen_config& lc = configs[c];
+        const loadgen_config& other_lc = configs[(c + 1) % configs.size()];
+        const loadgen fresh(test4, lc);
+        const loadgen source(test4, lc);
+        const loadgen copied(source);
+        loadgen move_source(test4, lc);
+        const loadgen moved(std::move(move_source));
+        loadgen copy_assigned(other, other_lc);
+        loadgen move_assigned(other, other_lc);
+        const util::seconds_t warm_t{windows.front().first};
+        const util::seconds_t warm_w{windows.front().second};
+        static_cast<void>(copy_assigned.measured_utilization(warm_t, warm_w));
+        static_cast<void>(move_assigned.measured_utilization(warm_t, warm_w));
+        copy_assigned = source;
+        loadgen move_assign_source(test4, lc);
+        move_assigned = std::move(move_assign_source);
+        for (const auto& [t, window] : windows) {
+            const util::seconds_t at{t};
+            const util::seconds_t w{window};
+            const double want = fresh.measured_utilization(at, w);
+            EXPECT_EQ(copied.measured_utilization(at, w), want) << "copy t=" << t;
+            EXPECT_EQ(moved.measured_utilization(at, w), want) << "move t=" << t;
+            EXPECT_EQ(copy_assigned.measured_utilization(at, w), want) << "copy= t=" << t;
+            EXPECT_EQ(move_assigned.measured_utilization(at, w), want) << "move= t=" << t;
         }
     }
 }
