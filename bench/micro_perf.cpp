@@ -94,6 +94,17 @@ void BM_ThermalSteadyStateSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalSteadyStateSolve);
 
+void BM_Characterize(benchmark::State& state) {
+    // The paper's characterization on a fresh plant: the 45-point steady
+    // sweep (each point a 96-solve settle fixed point), the leakage fit
+    // and the LUT build — the set-up every LUT-driven study pays.
+    for (auto _ : state) {
+        sim::server_simulator rig;
+        benchmark::DoNotOptimize(core::characterize(rig).lut.size());
+    }
+}
+BENCHMARK(BM_Characterize);
+
 void BM_SimulatorSecond(benchmark::State& state) {
     sim::server_simulator s;
     workload::utilization_profile p("bench");
@@ -333,7 +344,7 @@ void BM_RolloutDecision(benchmark::State& state) {
     cfg.horizon = 120_s;
     cfg.lattice_radius = 2;
     core::rollout_controller roll(std::make_unique<core::bang_bang_controller>(), cfg);
-    const core::simulator_plant_view plant(s);
+    const core::batch_lane_plant_view plant(s.batch(), 0);
     roll.attach_plant(&plant);
 
     core::controller_inputs in;

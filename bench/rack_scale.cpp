@@ -6,8 +6,9 @@
 //
 // The default sweep reports
 //   - raw per-server stepping throughput of sim::server_batch (one
-//     batched thermal kernel, lane-contiguous state) against the scalar
-//     server_simulator baseline,
+//     batched thermal kernel, lane-contiguous state) against the
+//     single-server baseline (a server_simulator: the same plant with
+//     one lane),
 //   - the sharded sim::fleet at N in {1k, 10k, 100k} across shard
 //     counts {1, 2, 4, 8} (threads = shards), and
 //   - a closed-loop fleet run (every lane under its own bang-bang
@@ -128,9 +129,9 @@ int main(int argc, char** argv) {
         const std::size_t shards = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 4;
         return run_smoke(lanes, shards);
     }
-    std::printf("== rack_scale: SoA batch stepping vs the scalar plant ==\n\n");
+    std::printf("== rack_scale: SoA batch stepping vs a single server ==\n\n");
 
-    // Scalar baseline at the same per-plant work.
+    // Single-server (1-lane) baseline at the same per-plant work.
     constexpr long kServerSteps = 1000000;
     double scalar_rate = 0.0;
     {
@@ -142,9 +143,9 @@ int main(int argc, char** argv) {
         }
         scalar_rate = static_cast<double>(kServerSteps) / seconds_since(t0);
     }
-    std::printf("scalar server_simulator: %.0f steps/s\n\n", scalar_rate);
+    std::printf("single server_simulator: %.0f steps/s\n\n", scalar_rate);
 
-    std::printf("%8s %22s %26s\n", "N", "server-steps/s", "per-server cost vs scalar");
+    std::printf("%8s %22s %26s\n", "N", "server-steps/s", "per-server cost vs single");
     for (std::size_t lanes : {1UL, 8UL, 64UL, 256UL}) {
         const double fleet_rate = batch_throughput(lanes, kServerSteps);
         std::printf("%8zu %22.0f %25.2fx\n", lanes, fleet_rate, scalar_rate / fleet_rate);
@@ -191,8 +192,8 @@ int main(int argc, char** argv) {
         std::printf("%8zu %14.3f %16.4f %20.0f\n", lanes, wall, fleet_kwh, lane_steps);
     }
 
-    std::printf("\nreading: per-server step cost should stay flat (within ~1.25x of the\n"
-                "scalar plant) as N grows — the batch trades no per-lane fidelity for\n"
+    std::printf("\nreading: per-server step cost should stay flat (within ~1.25x of a\n"
+                "single server) as N grows — the batch trades no per-lane fidelity for\n"
                 "the shared instruction stream, which is what makes fleet sweeps and\n"
                 "MPC-style many-rollout studies affordable.\n");
     return 0;

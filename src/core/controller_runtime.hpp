@@ -1,10 +1,16 @@
-// Runtime that wires a controller to the simulated server.
+// Runtime that wires controllers to the simulated plant.
 //
 // Plays the DLC-PC's role: polls the utilization (sar/mpstat emulation)
-// and the CSTH sensor snapshot at the controller's cadence, forwards the
-// observations, and actuates the returned fan commands.  Also owns the
-// end-to-end "run a test" flow used by Table I: bind workload, force the
-// cold start, let the controller drive, then extract metrics.
+// and the CSTH sensor snapshot at each controller's cadence, forwards
+// the observations, and actuates the returned fan commands.  Also owns
+// the end-to-end "run a test" flow used by Table I: bind workload, force
+// the cold start, let the controller drive, then extract metrics.
+//
+// There is one closed loop.  A single server (run_controlled) is a
+// 1-lane server_batch, a batch (run_controlled_batch) runs its lanes
+// side by side, and a fleet (run_controlled_fleet) runs one batch per
+// shard; all three go through the same per-lane observe/decide/actuate
+// sequence, so a lane's result does not depend on how it was packed.
 #pragma once
 
 #include <string>
@@ -19,30 +25,11 @@
 
 namespace ltsc::core {
 
-/// plant_access over a scalar server_simulator (what run_controlled
-/// attaches; public so benches/tests can drive predictive controllers
-/// outside the runtime loop).
-class simulator_plant_view final : public plant_access {
-public:
-    explicit simulator_plant_view(const sim::server_simulator& sim) : sim_(&sim) {}
-
-    void snapshot_into(sim::server_state& out) const override { sim_->snapshot_state(out); }
-    [[nodiscard]] const sim::server_config& plant_config() const override {
-        return sim_->config();
-    }
-    [[nodiscard]] const workload::loadgen* plant_workload() const override {
-        return sim_->workload();
-    }
-    [[nodiscard]] const sim::fault_schedule* plant_fault_schedule() const override {
-        return sim_->bound_fault_schedule();
-    }
-
-private:
-    const sim::server_simulator* sim_;
-};
-
-/// plant_access over one server_batch lane (what run_controlled_batch
-/// attaches per lane, so fleets of predictive controllers work).
+/// plant_access over one server_batch lane: what the runtime attaches
+/// to each lane's controller (so predictive controllers see their own
+/// lane), and what benches/tests use to drive a predictive controller
+/// outside the runtime loop (`batch_lane_plant_view{sim.batch(), 0}`
+/// for a server_simulator).
 class batch_lane_plant_view final : public plant_access {
 public:
     batch_lane_plant_view(const sim::server_batch& batch, std::size_t lane)
@@ -78,18 +65,19 @@ struct runtime_config {
 };
 
 /// Runs `controller` against `sim` for the whole `profile` and returns the
-/// Table-I metrics row.  The simulator's trace is left in place for
-/// figure-level inspection (Fig. 3 uses it).
+/// Table-I metrics row: run_controlled_batch on the simulator's 1-lane
+/// batch.  The simulator's trace is left in place for figure-level
+/// inspection (Fig. 3 uses it).
 [[nodiscard]] sim::run_metrics run_controlled(sim::server_simulator& sim,
                                               fan_controller& controller,
                                               const workload::utilization_profile& profile,
                                               const runtime_config& config = {});
 
-/// Batched analog of run_controlled: drives every server_batch lane with
-/// its own controller and profile through the shared time base, and
-/// returns one Table-I metrics row per lane.  Per lane the observation /
-/// decision / actuation sequence is identical to run_controlled, so a
-/// lane's metrics are bitwise-identical to an independent scalar run.
+/// Drives every server_batch lane with its own controller and profile
+/// through the shared time base, and returns one Table-I metrics row per
+/// lane.  Lanes share no decision state, so a lane's metrics are
+/// bitwise-identical to the same lane run alone through run_controlled
+/// (packing invariance).
 /// Controllers are borrowed (one per lane, each owning its state).
 /// Profiles may span different durations (ragged fleets): a lane whose
 /// profile finishes goes inert — no stepping, recording, or controller
@@ -104,8 +92,7 @@ struct runtime_config {
 /// thread pool, and the metrics are assembled shard-major — which is
 /// global lane order, since shards own contiguous lane blocks.  Shards
 /// share no mutable state, so results are invariant under shard count
-/// and thread count (per-lane they match a plain run_controlled_batch
-/// bitwise).  Controllers and profiles are indexed by global lane.
+/// and thread count (per lane they match run_controlled bitwise).  Controllers and profiles are indexed by global lane.
 [[nodiscard]] std::vector<sim::run_metrics> run_controlled_fleet(
     sim::fleet& fleet, const std::vector<fan_controller*>& controllers,
     const std::vector<workload::utilization_profile>& profiles,

@@ -7,7 +7,7 @@
 // independent of the shard count and thread count: lanes never share
 // mutable state across shards, each shard owns its own batch_trace
 // arena, and within a shard every server_batch lane is bitwise-equal
-// to its scalar twin whatever its batch neighbours.  Stepping fans the
+// to the same lane run alone whatever its batch neighbours.  Stepping fans the
 // K shards out over the pool exactly like parallel_runner fans out
 // scenarios — an atomic index handout whose schedule cannot affect
 // results.

@@ -49,7 +49,7 @@ double server_batch::die_temp(std::size_t lane, std::size_t socket) const {
 
 void server_batch::init_lane(std::size_t lane, const server_config& config) {
     const thermal::server_thermal_config& th = config.thermal;
-    // Same invariants server_thermal_model enforces for the scalar plant.
+    // Same invariants server_thermal_model enforces.
     util::ensure(th.fan_zones >= 1, "server_batch: need at least one fan zone");
     util::ensure(th.r_junction_sink > 0.0, "server_batch: bad junction resistance");
     util::ensure(th.zone_mixing >= 0.0 && th.zone_mixing <= 1.0,
@@ -78,8 +78,8 @@ void server_batch::init_lane(std::size_t lane, const server_config& config) {
     update_conductances(lane);
     update_preheat(lane);
 
-    // Sensor complement and telemetry, mirroring the server_simulator
-    // constructor (channel registration order fixes the RNG draw order).
+    // Sensor complement and telemetry (channel registration order fixes
+    // the RNG draw order).
     ln.sensors = thermal::make_server_sensors(
         [this, lane](std::size_t s) { return batch_.temperature(proto_.die_node(s), lane); },
         [this, lane] { return batch_.temperature(proto_.dimm_node(), lane); }, config.dimm_count,
@@ -99,8 +99,9 @@ void server_batch::register_telemetry(std::size_t lane) {
     lane_state& ln = *lanes_[lane];
     for (std::size_t i = 0; i < ln.sensors.cpu.size(); ++i) {
         ln.telemetry.add_channel(ln.sensors.cpu[i].name(), "degC", [this, lane, i] {
-            // Mirror of the scalar channel: true read first (keeps the
-            // noise stream aligned), corruption between sensor and value.
+            // The true sensor is always read first so the noise stream
+            // stays aligned with a healthy run; corruption (stuck, bias,
+            // dropout) applies between the sensor and the delivered value.
             const double raw = lanes_[lane]->sensors.cpu[i].read().value();
             const double v = corrupt_sensor_reading(lane, i, raw);
             lanes_[lane]->last_cpu_sensor_reads[i] = v;
@@ -114,6 +115,8 @@ void server_batch::register_telemetry(std::size_t lane) {
                                  },
                                  /*ring_capacity=*/512, /*record_history=*/false);
     }
+    // Per-socket rail telemetry (the paper collects per-core V/I; the
+    // aggregate per-socket rail carries the same information here).
     for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
         ln.telemetry.add_channel("cpu" + std::to_string(s) + "_voltage", "V",
                                  [] { return 1.0; }, 16, false);
@@ -168,15 +171,24 @@ double server_batch::measured_socket_utilization(std::size_t lane, std::size_t s
 
 void server_batch::set_fan_speed(std::size_t lane, std::size_t pair_index, util::rpm_t rpm) {
     lane_state& ln = at(lane);
+    // The fault latch below indexes by pair before fan_bank would check.
+    util::ensure(pair_index < ln.fans.pair_count(),
+                 "server_batch::set_fan_speed: pair index out of range");
     if (ln.monitor) {
         // Capture the command at the actuation boundary, before any
-        // degraded pair latches it (see server_simulator::set_fan_speed).
+        // degraded pair latches it: the command/tach residual is the
+        // monitor's view of what the controller *asked for*.
         ln.monitor->observe_fan_command(pair_index, ln.fans.pair().clamp(rpm));
     }
     if (ln.fault.fan_mode[pair_index] != fault_state::fan_ok) {
+        // The pair's rotor no longer answers: latch the command for
+        // recovery, deliver nothing physically, count nothing.  A
+        // tach-stuck pair still updates its (lying) tach readout so the
+        // tachometer keeps agreeing with whatever is commanded — the
+        // blind spot only the thermal cross-check can see.
         ln.fault.fan_commanded_rpm[pair_index] = ln.fans.pair().clamp(rpm).value();
         if (ln.fault.fan_mode[pair_index] == fault_state::fan_tach) {
-            ln.fans.set_speed(pair_index, rpm);  // lying tach tracks the command
+            ln.fans.set_speed(pair_index, rpm);
         }
         return;
     }
@@ -194,6 +206,9 @@ void server_batch::set_all_fans(std::size_t lane, util::rpm_t rpm) {
         ln.monitor->observe_all_fan_commands(ln.fans.pair().clamp(rpm));
     }
     if (!ln.fault.any_fan_fault()) {
+        // Clamp once, detect a change in the same pass, and skip the
+        // airflow (and conductance) update entirely when every pair
+        // already runs at the commanded speed.
         const double target = ln.fans.pair().clamp(rpm).value();
         bool changed = false;
         for (std::size_t i = 0; i < ln.fans.pair_count() && !changed; ++i) {
@@ -207,6 +222,8 @@ void server_batch::set_all_fans(std::size_t lane, util::rpm_t rpm) {
         apply_airflow(lane);
         return;
     }
+    // Degraded path: healthy pairs actuate, faulted pairs latch.  Any
+    // physical change counts as one command, like the healthy path.
     const double target = ln.fans.pair().clamp(rpm).value();
     bool changed = false;
     for (std::size_t i = 0; i < ln.fans.pair_count(); ++i) {
@@ -455,8 +472,8 @@ void server_batch::apply_heat(std::size_t lane, double u_inst) {
     util::ensure(dimm_heat.value() >= 0.0, "server_batch::apply_heat: negative heat");
     ln.dimm_heat_w = dimm_heat.value();
     // "Other" heat only influences the exhaust-air query, which the
-    // batch does not expose; validate it like the scalar plant does but
-    // carry no state for it.
+    // plant does not expose; validate it like server_thermal_model does
+    // but carry no state for it.
     util::ensure(ln.active.other(u_inst).value() >= 0.0,
                  "server_batch::apply_heat: negative heat");
 }
@@ -540,15 +557,20 @@ void server_batch::settle_to_steady_state(std::size_t lane) {
 
 void server_batch::force_cold_start(std::size_t lane) {
     lane_state& ln = at(lane);
+    // Faults are part of the run being restarted: clear live effects and
+    // rewind the campaign cursor with the clock.
     clear_fault_effects(lane);
     ln.fans.set_all(ln.config.cold_start_fan_rpm);
     apply_airflow(lane);
+    // Leakage depends on temperature, which depends on leakage; iterate
+    // the outer fixed point until the idle state is self-consistent.
     for (int i = 0; i < 12; ++i) {
         apply_heat(lane, 0.0);
         settle_to_steady_state(lane);
     }
     if (ln.monitor) {
-        // The twin restarts with the plant (see server_simulator).
+        // The twin restarts with the plant: re-latch the cold-start
+        // commands, clear verdicts, and settle to the same idle state.
         ln.monitor->reset(ln.fans, batch_.ambient(lane));
         ln.monitor->settle(0.0, ln.imbalance, batch_.ambient(lane), ln.fans);
     }
@@ -705,6 +727,8 @@ void server_batch::apply_fault_event(std::size_t lane, const fault_event& event)
             ln.fault.fan_mode[event.target] = fault_state::fan_ok;
             ln.fans.set_failed(event.target, false);
             ln.fans.set_tach_stuck(event.target, false);
+            // Resume the last latched command (faults and latched
+            // commands are not controller actions, so no count).
             ln.fans.set_speed(event.target,
                               util::rpm_t{ln.fault.fan_commanded_rpm[event.target]});
             apply_airflow(lane);
@@ -718,9 +742,14 @@ void server_batch::apply_fault_event(std::size_t lane, const fault_event& event)
             ln.fault.sensor_bias_c[event.target] = event.value;
             break;
         case fault_kind::sensor_dropout:
+            // Windows anchor on the scheduled time, not the (step-
+            // quantized) fire time, so replays at a different sim_dt see
+            // the same span.
             ln.fault.sensor_dropout_until_s[event.target] = event.t_s + event.duration_s;
             break;
         case fault_kind::sensor_drift:
+            // The ramp anchors on the scheduled onset, like dropout
+            // windows, so the grown bias is dt-invariant.
             ln.fault.sensor_drift_c_per_s[event.target] = event.value;
             ln.fault.sensor_drift_start_s[event.target] = event.t_s;
             break;
@@ -752,7 +781,7 @@ double server_batch::corrupt_sensor_reading(std::size_t lane, std::size_t sensor
         return ln.fault.sensor_stuck_c[sensor];
     }
     if (ln.now_s < ln.fault.sensor_dropout_until_s[sensor] - 1e-9) {
-        return ln.last_cpu_sensor_reads[sensor];
+        return ln.last_cpu_sensor_reads[sensor];  // hold the last delivered value
     }
     double offset = ln.fault.sensor_bias_c[sensor];
     if (ln.fault.sensor_drift_c_per_s[sensor] != 0.0) {
@@ -762,7 +791,34 @@ double server_batch::corrupt_sensor_reading(std::size_t lane, std::size_t sensor
     if (ln.fault.intermittent_burst_live(sensor, ln.now_s)) {
         offset += ln.fault.sensor_intermittent_c[sensor];
     }
+    // Exact pass-through when unbiased, so healthy runs stay bitwise.
     return offset == 0.0 ? raw : raw + offset;
+}
+
+util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm) {
+    // Build a scratch plant so the query does not disturb any live one.
+    const power::leakage_model leakage(config.leakage);
+    thermal::server_thermal_model scratch(config.thermal);
+    power::fan_bank scratch_fans(config.fan_pairs, config.fan, fan_rpm);
+    std::vector<util::cfm_t> per_zone;
+    for (std::size_t i = 0; i < scratch_fans.pair_count(); ++i) {
+        per_zone.push_back(scratch_fans.pair().airflow(scratch_fans.speed(i)));
+    }
+    scratch.set_zone_airflow(per_zone);
+    for (int i = 0; i < 12; ++i) {
+        for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
+            scratch.set_cpu_heat(s, util::watts_t{config.cpu_idle_each_w} +
+                                        leakage.share_at(scratch.cpu_die_temp(s), 2));
+        }
+        scratch.set_dimm_heat(util::watts_t{config.dimm_idle_total_w});
+        scratch.set_other_heat(util::watts_t{0.0});
+        scratch.settle_to_steady_state();
+    }
+    util::watts_t leak{0.0};
+    for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
+        leak += leakage.share_at(scratch.cpu_die_temp(s), 2);
+    }
+    return util::watts_t{config.base_power_w} + leak + scratch_fans.total_power();
 }
 
 }  // namespace ltsc::sim

@@ -1,22 +1,30 @@
-// Structure-of-arrays fleet plant: N servers stepped through one
-// instruction stream.
+// The server plant: workload -> power -> thermal -> telemetry, for N
+// servers stepped through one instruction stream.
 //
-// A server_batch is the data-center-scale counterpart of
-// server_simulator: every lane is a full plant (workload synthesis,
-// power models, sensors with their own seeded RNG stream, telemetry
-// harness, trace), but the thermal state lives in lane-contiguous flat
-// arrays (thermal::rc_batch) and all lanes integrate through one batched
-// RK4 kernel per step.  Power evaluation (active + leakage + fan) and
-// controller decisions run as flat per-lane passes around the thermal
-// kernel.
+// This is the only plant model.  It stands in for the paper's physical
+// testbed: its *control surface* is what the paper's DLC-PC had
+// (per-pair fan speed commands, `sar`-style utilization polling), its
+// *observation surface* is what CSTH reported (4 CPU sensors, 32 DIMM
+// sensors, whole-system power), and plant internals (true die
+// temperatures, the exact power breakdown) are exposed separately as
+// ground truth the real controllers could not see.
 //
-// Contract: every lane is *bitwise-identical* to an independent scalar
-// server_simulator driven through the same schedule — same trace, same
-// sensor noise stream, same metrics.  The batch_equivalence suite pins
-// this, including mid-run fan-speed and ambient mutations.  Lanes may
-// differ in configuration (ambient, seed, calibration), workload,
-// controller, and fan commands; only the thermal network topology is
-// shared.
+// Every lane is a full server (workload synthesis, power models,
+// sensors with their own seeded RNG stream, fault layer, residual
+// monitor, telemetry harness, trace).  The thermal state lives in
+// lane-contiguous flat arrays (thermal::rc_batch) and all lanes
+// integrate through one batched RK4 kernel per step; power evaluation
+// (active + leakage + fan) and controller decisions run as flat
+// per-lane passes around it.  The single-server studies use the same
+// code through sim::server_simulator, a facade over one lane.
+//
+// Contract: packing invariance.  A lane's trace, sensor noise stream
+// and metrics are bitwise-identical whether it runs alone in a 1-lane
+// batch (a server_simulator) or packed with any other lanes, including
+// under mid-run fan-speed and ambient mutations; the batch_equivalence
+// suite pins this.  Lanes may differ in configuration (ambient, seed,
+// calibration), workload, controller, and fan commands; only the
+// thermal network topology is shared.
 #pragma once
 
 #include <memory>
@@ -30,7 +38,6 @@
 #include "sim/batch_trace.hpp"
 #include "sim/fault_schedule.hpp"
 #include "sim/server_config.hpp"
-#include "sim/server_simulator.hpp"
 #include "sim/server_state.hpp"
 #include "sim/simulation_trace.hpp"
 #include "telemetry/harness.hpp"
@@ -52,7 +59,7 @@ public:
     server_batch(const server_config& config, std::size_t lanes);
 
     // Sensor/telemetry closures capture lane addresses; the batch is
-    // pinned in memory like the scalar plant.
+    // pinned in memory.
     server_batch(const server_batch&) = delete;
     server_batch& operator=(const server_batch&) = delete;
     server_batch(server_batch&&) = delete;
@@ -61,78 +68,125 @@ public:
     [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
     // --- workload binding (per lane) ---------------------------------------
+    /// Installs the lane's workload; resets its clock to 0, clears its
+    /// trace and reactivates it.
     void bind_workload(std::size_t lane, workload::loadgen generator);
+    /// Convenience: binds a profile with default LoadGen settings.
     void bind_workload(std::size_t lane, const workload::utilization_profile& profile);
 
+    /// Skews how the CPU-bound load splits across the two sockets:
+    /// socket 0 receives `fraction_socket0` of the CPU heat (0.5 =
+    /// balanced, the paper's LoadGen default).  Utilization telemetry is
+    /// skewed to match.
     void set_load_imbalance(std::size_t lane, double fraction_socket0);
     [[nodiscard]] double load_imbalance(std::size_t lane) const;
+    /// Per-socket `sar` utilization: the socket's share of the measured
+    /// load expressed against one socket's capacity (can exceed the
+    /// system-level number under imbalance).
     [[nodiscard]] double measured_socket_utilization(std::size_t lane, std::size_t socket,
                                                      util::seconds_t window) const;
 
-    // --- fault injection (per lane; see server_simulator) -------------------
+    // --- fault injection (per lane) -----------------------------------------
+    /// Installs a fault campaign (copied).  Events fire at the top of the
+    /// step whose start time reaches them; any live effects from a
+    /// previous binding clear.  force_cold_start rewinds the campaign to
+    /// its first event along with the clock.  Targets are validated
+    /// against the lane's fan and sensor counts.  At least one fan pair
+    /// must stay healthy at all times — a schedule failing every pair at
+    /// once trips the plant's airflow precondition when it fires.
     void bind_fault_schedule(std::size_t lane, fault_schedule schedule);
+    /// Removes the campaign and clears every live effect.
     void clear_fault_schedule(std::size_t lane);
+    /// The bound campaign, or nullptr (predictive controllers bind it to
+    /// their rollout lanes like the workload preview).
     [[nodiscard]] const fault_schedule* bound_fault_schedule(std::size_t lane) const {
         const auto& f = at(lane).faults;
         return f ? &*f : nullptr;
     }
+    /// Live fault effects (which fans/sensors are degraded right now).
     [[nodiscard]] const fault_state& current_fault_state(std::size_t lane) const {
         return at(lane).fault;
     }
 
     /// The lane's residual monitor, or nullptr when the lane's
-    /// config.monitor.enabled is false (see server_simulator::monitor).
+    /// config.monitor.enabled is false.  Read-only: the monitor is a
+    /// passive observer of the plant (it never perturbs dynamics or the
+    /// sensor RNG stream).
     [[nodiscard]] const core::fault_monitor* monitor(std::size_t lane) const {
         const auto& m = at(lane).monitor;
         return m ? &*m : nullptr;
     }
 
-    /// Age of the lane's last telemetry poll (+infinity before any).
+    /// Age of the lane's last telemetry poll: now minus the last poll
+    /// time, or +infinity before the first poll.  Under telemetry loss
+    /// this grows past the poll period — the failsafe controller's
+    /// trigger.
     [[nodiscard]] double telemetry_age_s(std::size_t lane) const;
 
     // --- control surface (per lane) ----------------------------------------
+    /// Commands one fan pair; the plant clamps to the legal RPM range and
+    /// rejects an out-of-range pair index.  A pair under a fan fault
+    /// latches the command without actuating it (applied on recovery,
+    /// like re-plugging a PWM line); latched commands do not count as
+    /// fan-speed changes.
     void set_fan_speed(std::size_t lane, std::size_t pair_index, util::rpm_t rpm);
+    /// Commands all pairs at once (counts as a single fan-speed change).
     void set_all_fans(std::size_t lane, util::rpm_t rpm);
+    /// Tachometer reading of one pair: the commanded speed, or 0 while
+    /// the pair's rotor is failed.
     [[nodiscard]] util::rpm_t fan_speed(std::size_t lane, std::size_t pair_index) const;
     [[nodiscard]] util::rpm_t average_fan_rpm(std::size_t lane) const;
+    /// Cumulative number of commands that actually changed a speed.
     [[nodiscard]] std::size_t fan_change_count(std::size_t lane) const;
+    /// Zeroes the fan-change counter (e.g. after applying a run's initial
+    /// speed, which Table I does not count as a controller action).
     void reset_fan_change_counter(std::size_t lane);
 
+    /// `sar`-style utilization: mean instantaneous utilization over the
+    /// trailing `window` (the DLC-PC polls this every second).
     [[nodiscard]] double measured_utilization(std::size_t lane, util::seconds_t window) const;
 
     // --- observation surface (per lane) ------------------------------------
+    /// Latest CPU sensor readings (4 values), from the last telemetry poll.
     [[nodiscard]] std::vector<double> cpu_sensor_temps(std::size_t lane) const;
+    /// Maximum of the CPU sensor readings at the last telemetry poll.
     [[nodiscard]] util::celsius_t max_cpu_sensor_temp(std::size_t lane) const;
+    /// Whole-system power as the power sensor reports it.
     [[nodiscard]] util::watts_t system_power_reading(std::size_t lane) const;
+    /// The lane's telemetry harness (channel access, CSV export).
     [[nodiscard]] const telemetry::harness& telemetry(std::size_t lane) const;
 
-    // --- ground truth (per lane) -------------------------------------------
+    // --- ground truth (per lane; not visible to real controllers) ----------
     [[nodiscard]] util::celsius_t true_cpu_temp(std::size_t lane, std::size_t socket) const;
     [[nodiscard]] util::celsius_t true_avg_cpu_temp(std::size_t lane) const;
     [[nodiscard]] util::celsius_t true_dimm_temp(std::size_t lane) const;
     [[nodiscard]] power::power_breakdown current_power(std::size_t lane) const;
 
-    /// Changes one lane's room temperature mid-run (aisle gradients,
-    /// setpoint drift).
+    /// Changes one lane's room (inlet) temperature mid-run; takes effect
+    /// through the plant dynamics on subsequent steps (aisle gradients,
+    /// setpoint drift, ambient sweeps).
     void set_ambient(std::size_t lane, util::celsius_t t);
     [[nodiscard]] util::celsius_t ambient(std::size_t lane) const;
 
     // --- lane state save/restore --------------------------------------------
     /// Writes one lane's complete dynamic state into `out` (overwriting
-    /// it).  Pure read; interchangeable with
-    /// server_simulator::snapshot_state for same-config plants.
+    /// it; see server_state for exactly what that covers).  Pure read:
+    /// the lane is left untouched, so interleaving snapshots with
+    /// stepping cannot perturb a run.
     void snapshot_lane_state(std::size_t lane, server_state& out) const;
 
-    /// Clones a snapshot (from a scalar plant or any same-config lane)
-    /// into one lane: the rollout primitive.  The lane's workload
-    /// binding is left as-is — bind first, load after, since binding
-    /// resets the clock this call sets.  The lane's trace and telemetry
-    /// histories clear (recording restarts at the snapshot instant) and
-    /// the lane reactivates if it was inert.  Subsequent stepping is
-    /// bitwise-identical to the snapshot's source plant.
+    /// Clones a snapshot (from any lane of a plant built from the same
+    /// configuration) into one lane: the rollout and rewind primitive.
+    /// The lane's workload binding is left as-is — bind first, load
+    /// after, since binding resets the clock this call sets.  The lane's
+    /// trace and telemetry histories clear (recording restarts at the
+    /// snapshot instant) and the lane reactivates if it was inert.
+    /// Subsequent stepping is bitwise-identical to the snapshot's source
+    /// plant (snapshot_roundtrip suite).
     void load_lane_state(std::size_t lane, const server_state& state);
 
-    /// The lane's bound workload, or nullptr before any bind_workload.
+    /// The lane's bound workload, or nullptr before any bind_workload
+    /// (read-only; predictive controllers use it as the rollout preview).
     [[nodiscard]] const workload::loadgen* workload(std::size_t lane) const {
         const auto& w = at(lane).workload;
         return w ? &*w : nullptr;
@@ -145,6 +199,7 @@ public:
     /// recording, no telemetry poll.  A step with every lane inert is a
     /// no-op.
     void step(util::seconds_t dt = util::seconds_t{1.0});
+    /// Repeatedly steps until `duration` has elapsed.
     void advance(util::seconds_t duration, util::seconds_t dt = util::seconds_t{1.0});
     [[nodiscard]] util::seconds_t now(std::size_t lane) const;
 
@@ -155,13 +210,21 @@ public:
     void set_lane_active(std::size_t lane, bool active);
     [[nodiscard]] bool lane_active(std::size_t lane) const;
 
-    /// Paper cold-start protocol on one lane / every lane.
+    /// The paper's cold-start protocol on one lane / every lane:
+    /// temperatures settle to the idle steady state with fans at the
+    /// cold-start speed, live fault effects clear and the campaign
+    /// rewinds, time rewinds to 0 and the trace clears.
     void force_cold_start(std::size_t lane);
     void force_cold_start();
 
-    /// Jumps one lane to the steady state of a constant utilization.
+    /// Jumps one lane to the self-consistent steady state of a constant
+    /// utilization at its current fan speeds (characterization sweeps
+    /// use this instead of integrating long transients).  Does not touch
+    /// the trace or the clock.
     void settle_at(std::size_t lane, double u_pct);
 
+    /// Steady-state idle wall power at the given fan speed (the quantity
+    /// the paper subtracts to compute net savings).
     [[nodiscard]] util::watts_t idle_power(std::size_t lane, util::rpm_t fan_rpm) const;
 
     // --- recording (per lane) -----------------------------------------------
@@ -253,5 +316,10 @@ private:
     std::vector<double> u_target_scratch_;
     std::vector<double> u_inst_scratch_;
 };
+
+/// Steady-state idle wall power of a server described by `config` with
+/// every fan pair at `fan_rpm` (server_batch::idle_power's accounting
+/// floor), from a scratch plant that disturbs no live one.
+[[nodiscard]] util::watts_t steady_idle_power(const server_config& config, util::rpm_t fan_rpm);
 
 }  // namespace ltsc::sim

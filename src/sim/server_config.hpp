@@ -85,8 +85,8 @@ void validate(const server_config& config);
 [[nodiscard]] server_config validated(const server_config& config);
 
 /// The healthy-twin description the residual monitor needs, extracted
-/// from a full plant configuration (shared by the scalar plant and every
-/// batch lane so twin arithmetic is identical everywhere).
+/// from a full plant configuration (shared by every plant lane so twin
+/// arithmetic is identical everywhere).
 [[nodiscard]] core::fault_monitor_plant monitor_plant_for(const server_config& config);
 
 }  // namespace ltsc::sim

@@ -15,10 +15,10 @@
 //    from the snapshot instant.
 //
 // Snapshots are the substrate of the receding-horizon rollout family:
-// server_simulator::snapshot_state / server_batch::snapshot_lane_state
-// save a live plant, server_batch::load_lane_state clones it across the
-// candidate lanes of a rollout batch, and
-// server_simulator::restore_state rewinds a scalar plant (round-trip
+// server_batch::snapshot_lane_state saves a live plant lane,
+// server_batch::load_lane_state clones it across the candidate lanes of
+// a rollout batch or rewinds a plant (server_simulator's snapshot_state
+// and restore_state are the same calls on its one lane; round-trip
 // pinned bitwise by the snapshot_roundtrip suite).  A server_state is
 // reusable: saving overwrites in place, so a per-epoch scratch snapshot
 // amortizes to zero allocations.

@@ -10,9 +10,13 @@
 //  * `trace_channel` / `trace_row` — the typed channel set and one step's
 //    values.
 //  * `trace_view` — a non-owning, read-only window exposing every channel
-//    with the `time_series` read API (works over both the scalar frame
-//    and `batch_trace`'s lane-major arena).
-//  * `simulation_trace` — the owning store used by `server_simulator`.
+//    with the `time_series` read API.  Every plant records into
+//    `batch_trace`'s lane-major arena (a server_simulator is a 1-lane
+//    batch), and `trace()` hands out a view of it that the next step
+//    invalidates.
+//  * `simulation_trace` — an owning copy over one frame: materialize a
+//    view with `simulation_trace{sim.trace()}` to keep a recording past
+//    the next step, or build one row by row.
 #pragma once
 
 #include <array>
@@ -124,14 +128,14 @@ private:
     std::array<util::column_view, trace_channel_count> channels_{};
 };
 
-/// Owning columnar trace of one plant: a typed facade over one
-/// util::frame.  Copyable (plain columnar data).
+/// Owning columnar trace: a typed facade over one util::frame.
+/// Copyable (plain columnar data).
 class simulation_trace {
 public:
     simulation_trace();
 
-    /// Deep copy of a view (e.g. snapshotting a fleet lane before the
-    /// batch records the next run).
+    /// Deep copy of a view (e.g. keeping a plant's recording before it
+    /// records the next run).
     explicit simulation_trace(const trace_view& v);
 
     /// Records one step: a single timestamp check and one row append.

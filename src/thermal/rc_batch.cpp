@@ -31,6 +31,12 @@ rc_batch::rc_batch(const rc_network& topology, std::size_t lanes, integration_sc
         for (std::size_t l = 0; l < lanes_; ++l) {
             edge_g_[e * lanes_ + l] = g;
         }
+        const rc_network::edge_ends ends = topology.endpoints(edge_id{e});
+        if (ends.to_ambient) {
+            ambient_edges_.push_back({ends.a * lanes_, e * lanes_});
+        } else {
+            internal_edges_.push_back({ends.a * lanes_, ends.b * lanes_, e * lanes_});
+        }
     }
     diag_.assign(nodes_ * lanes_, 0.0);
     stable_dt_.assign(lanes_, 0.0);
@@ -75,6 +81,9 @@ void rc_batch::set_conductance(edge_id e, std::size_t lane, double conductance_w
     if (edge_g_[e.index * lanes_ + lane] != conductance_w_per_k) {
         edge_g_[e.index * lanes_ + lane] = conductance_w_per_k;
         lane_dirty_[lane] = 1;
+        if (settle_lu_lane_ == lane) {
+            settle_lu_.reset();
+        }
     }
 }
 
@@ -113,6 +122,44 @@ void rc_batch::load_lane_state(std::size_t lane, const rc_state& state) {
         set_conductance(edge_id{e}, lane, state.edge_g[e]);
     }
     set_ambient(lane, util::celsius_t{state.ambient_c});
+}
+
+void rc_batch::derivatives_into(const double* temps, double* out) const {
+    const std::size_t lanes = lanes_;
+    const std::size_t total = nodes_ * lanes;
+    const double* edge_g = edge_g_.data();
+    std::fill(out, out + total, 0.0);
+    // An edge's endpoints are distinct nodes, so its output rows never
+    // overlap each other or the inputs: the lane loops need no runtime
+    // alias checks.
+    for (const internal_edge_rows& e : internal_edges_) {
+        const double* __restrict g = edge_g + e.g;
+        const double* __restrict ta = temps + e.a;
+        const double* __restrict tb = temps + e.b;
+        double* __restrict oa = out + e.a;
+        double* __restrict ob = out + e.b;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const double q = g[l] * (tb[l] - ta[l]);
+            oa[l] += q;
+            ob[l] -= q;
+        }
+    }
+    const double* __restrict ambient = ambient_.data();
+    for (const ambient_edge_rows& e : ambient_edges_) {
+        const double* __restrict g = edge_g + e.g;
+        const double* __restrict tn = temps + e.n;
+        double* __restrict on = out + e.n;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            on[l] += g[l] * (ambient[l] - tn[l]);
+        }
+    }
+    // Node-major [node][lane] storage: the per-node division is one flat
+    // pass over every (node, lane) element.
+    const double* powers = powers_.data();
+    const double* capacities = capacities_.data();
+    for (std::size_t i = 0; i < total; ++i) {
+        out[i] = (out[i] + powers[i]) / capacities[i];
+    }
 }
 
 void rc_batch::refresh_lane_cache(std::size_t lane) const {
@@ -218,35 +265,47 @@ void rc_batch::step_rk4(double dt, const unsigned char* active) {
     const double* h = scratch_.h.data();
     const int* sub = scratch_.substeps.data();
 
-    const auto derivs = [&](const double* at, double* out) {
-        topo_.batch_derivatives_into(lanes_, at, powers_.data(), capacities_.data(),
-                                     ambient_.data(), edge_g_.data(), out);
-    };
-    // In the common case every lane takes the same substep count and the
-    // mask is compiled away; heterogeneous lanes branch per element, which
-    // only skips lanes whose own substeps are already done.
-    for (int s = 0; s < max_sub; ++s) {
-        const auto stage = [&](const double* k, double factor) {
-            for (std::size_t i = 0; i < nodes_; ++i) {
-                const std::size_t base = i * lanes_;
-                for (std::size_t l = 0; l < lanes_; ++l) {
-                    if (uniform || s < sub[l]) {
-                        tmp[base + l] = t0[base + l] + factor * h[l] * k[base + l];
-                    }
-                }
+    // In the common case every lane takes the same substep count, so
+    // every lane's substep h is the same number and each RK4 stage is one
+    // flat pass over all (node, lane) elements.  Heterogeneous lanes
+    // branch per element, which only skips lanes whose own substeps are
+    // already done.  Both forms evaluate (factor * h) * k per element.
+    const auto stage = [&](int s, const double* k, double factor) {
+        if (uniform) {
+            const double fh = factor * h[0];
+            for (std::size_t i = 0; i < total; ++i) {
+                tmp[i] = t0[i] + fh * k[i];
             }
-        };
-        derivs(t0.data(), k1);
-        stage(k1, 0.5);
-        derivs(tmp, k2);
-        stage(k2, 0.5);
-        derivs(tmp, k3);
-        stage(k3, 1.0);
-        derivs(tmp, k4);
+            return;
+        }
         for (std::size_t i = 0; i < nodes_; ++i) {
             const std::size_t base = i * lanes_;
             for (std::size_t l = 0; l < lanes_; ++l) {
-                if (uniform || s < sub[l]) {
+                if (s < sub[l]) {
+                    tmp[base + l] = t0[base + l] + factor * h[l] * k[base + l];
+                }
+            }
+        }
+    };
+    for (int s = 0; s < max_sub; ++s) {
+        derivatives_into(t0.data(), k1);
+        stage(s, k1, 0.5);
+        derivatives_into(tmp, k2);
+        stage(s, k2, 0.5);
+        derivatives_into(tmp, k3);
+        stage(s, k3, 1.0);
+        derivatives_into(tmp, k4);
+        if (uniform) {
+            const double h6 = h[0] / 6.0;
+            for (std::size_t i = 0; i < total; ++i) {
+                t0[i] += h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+            }
+            continue;
+        }
+        for (std::size_t i = 0; i < nodes_; ++i) {
+            const std::size_t base = i * lanes_;
+            for (std::size_t l = 0; l < lanes_; ++l) {
+                if (s < sub[l]) {
                     t0[base + l] += h[l] / 6.0 *
                                     (k1[base + l] + 2.0 * k2[base + l] + 2.0 * k3[base + l] +
                                      k4[base + l]);
@@ -269,8 +328,7 @@ void rc_batch::step_explicit(double dt, const unsigned char* active) {
     const double* h = scratch_.h.data();
     const int* sub = scratch_.substeps.data();
     for (int s = 0; s < max_sub; ++s) {
-        topo_.batch_derivatives_into(lanes_, t.data(), powers_.data(), capacities_.data(),
-                                     ambient_.data(), edge_g_.data(), dTdt);
+        derivatives_into(t.data(), dTdt);
         if (uniform) {
             for (std::size_t i = 0; i < nodes_; ++i) {
                 const std::size_t base = i * lanes_;
@@ -294,11 +352,18 @@ void rc_batch::step_explicit(double dt, const unsigned char* active) {
 
 void rc_batch::settle_lane(std::size_t lane) {
     util::ensure(lane < lanes_, "rc_batch::settle_lane: lane out of range");
-    topo_.lane_conductance_matrix_into(lanes_, lane, edge_g_.data(), scratch_.cond);
-    const util::lu_decomposition lu(scratch_.cond);
+    // Settles come in runs on one lane (cold start, settle_at: 96 solves
+    // at fixed conductances), so one cached factorization serves them;
+    // set_conductance drops it when this lane's conductances change.
+    if (!settle_lu_ || settle_lu_lane_ != lane) {
+        topo_.lane_conductance_matrix_into(lanes_, lane, edge_g_.data(), scratch_.cond);
+        settle_lu_.emplace(scratch_.cond);
+        settle_lu_lane_ = lane;
+    }
     topo_.lane_source_vector_into(lanes_, lane, powers_.data(), ambient_[lane], edge_g_.data(),
                                   scratch_.rhs);
-    const std::vector<double> x = lu.solve(scratch_.rhs);
+    std::vector<double>& x = scratch_.x;
+    settle_lu_->solve_into(scratch_.rhs, x);
     for (std::size_t i = 0; i < nodes_; ++i) {
         util::ensure(std::isfinite(x[i]), "rc_batch::settle_lane: non-finite temperature");
         temps_[i * lanes_ + lane] = x[i];

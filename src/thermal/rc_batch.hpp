@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "thermal/rc_network.hpp"
@@ -89,8 +90,9 @@ public:
     void step(util::seconds_t dt, const unsigned char* active = nullptr);
 
     /// Solves one lane's steady state L T = P + G_amb T_amb and adopts it
-    /// (bitwise-identical to thermal::settle on the scalar twin).  Throws
-    /// numeric_error for singular systems.
+    /// (bitwise-identical to thermal::settle on the scalar twin).  Repeated
+    /// settles of one lane reuse its factorization until a conductance of
+    /// that lane changes.  Throws numeric_error for singular systems.
     void settle_lane(std::size_t lane);
 
     /// Per-step finite-state scan (on by default in Debug builds, like
@@ -121,6 +123,9 @@ private:
     }
 
     void refresh_lane_cache(std::size_t lane) const;
+    /// dT/dt of every (node, lane) element into `out`: per lane the
+    /// operation sequence of rc_network::derivatives_into.
+    void derivatives_into(const double* temps, double* out) const;
     /// Fills the per-lane substep plan (count + substep size) for one
     /// macro step; masked lanes get zero substeps.  Returns the largest
     /// substep count and whether every stepped lane shares it.
@@ -146,6 +151,20 @@ private:
     std::vector<double> ambient_;  ///< [lane]
     std::vector<double> edge_g_;
 
+    // The topology's edges in derivative accumulation order (internal,
+    // then ambient), as offsets of their lane rows in temps_/edge_g_.
+    struct internal_edge_rows {
+        std::size_t a;
+        std::size_t b;
+        std::size_t g;
+    };
+    struct ambient_edge_rows {
+        std::size_t n;
+        std::size_t g;
+    };
+    std::vector<internal_edge_rows> internal_edges_;
+    std::vector<ambient_edge_rows> ambient_edges_;
+
     // Per-lane derived quantities (conductance diagonal, stable substep),
     // refreshed lazily when a lane's conductances or capacities change.
     mutable std::vector<double> diag_;       ///< [node][lane] layout.
@@ -164,9 +183,15 @@ private:
         std::vector<int> substeps;  ///< [lane]
         std::vector<double> h;      ///< [lane]
         std::vector<double> rhs;    ///< settle_lane right-hand side.
+        std::vector<double> x;      ///< settle_lane solution.
         util::matrix cond;          ///< settle_lane lane matrix.
     };
     mutable scratch scratch_;
+
+    // Factorization of settle_lane's matrix for lane settle_lu_lane_,
+    // dropped by set_conductance when that lane's conductances change.
+    std::optional<util::lu_decomposition> settle_lu_;
+    std::size_t settle_lu_lane_ = 0;
 };
 
 }  // namespace ltsc::thermal

@@ -205,44 +205,10 @@ void rc_network::derivatives_into(const std::vector<double>& temps,
     }
 }
 
-void rc_network::batch_derivatives_into(std::size_t lanes, const double* temps,
-                                        const double* powers, const double* capacities,
-                                        const double* ambient, const double* edge_g,
-                                        double* out) const {
-    util::ensure(lanes > 0, "rc_network::batch_derivatives_into: zero lanes");
-    const assembly& a = assembled();
-    const std::size_t n = capacities_.size();
-    for (std::size_t i = 0; i < n * lanes; ++i) {
-        out[i] = 0.0;
-    }
-    for (const flat_internal_edge& e : a.internal) {
-        const double* g = edge_g + e.src * lanes;
-        const double* ta = temps + e.a * lanes;
-        const double* tb = temps + e.b * lanes;
-        double* oa = out + e.a * lanes;
-        double* ob = out + e.b * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const double q = g[l] * (tb[l] - ta[l]);
-            oa[l] += q;
-            ob[l] -= q;
-        }
-    }
-    for (const flat_ambient_edge& e : a.ambient) {
-        const double* g = edge_g + e.src * lanes;
-        const double* tn = temps + e.n * lanes;
-        double* on = out + e.n * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            on[l] += g[l] * (ambient[l] - tn[l]);
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* p = powers + i * lanes;
-        const double* c = capacities + i * lanes;
-        double* o = out + i * lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            o[l] = (o[l] + p[l]) / c[l];
-        }
-    }
+rc_network::edge_ends rc_network::endpoints(edge_id e) const {
+    util::ensure(e.index < edges_.size(), "rc_network::endpoints: bad edge");
+    const edge& ed = edges_[e.index];
+    return edge_ends{ed.a, ed.to_ambient ? ed.a : ed.b, ed.to_ambient};
 }
 
 void rc_network::lane_diagonal_into(std::size_t lanes, std::size_t lane, const double* edge_g,

@@ -206,13 +206,16 @@ public:
     /// Number of edges (internal + ambient) in insertion order.
     [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
-    /// Batched derivatives_into: writes dT/dt for every lane into `out`
-    /// (size node_count() * lanes).  Matches derivatives_into() per lane:
-    /// internal edges accumulate before ambient edges, then the
-    /// (flow + power) / capacity division runs per node.
-    void batch_derivatives_into(std::size_t lanes, const double* temps, const double* powers,
-                                const double* capacities, const double* ambient,
-                                const double* edge_g, double* out) const;
+    /// Endpoints of one edge: `a`-`b` for an internal edge; `a` alone
+    /// (b == a) for an edge to ambient.  derivatives_into() accumulates
+    /// every internal edge, then every ambient edge, each group in
+    /// insertion order; a batched kernel replays that order from here.
+    struct edge_ends {
+        std::size_t a = 0;
+        std::size_t b = 0;
+        bool to_ambient = false;
+    };
+    [[nodiscard]] edge_ends endpoints(edge_id e) const;
 
     /// Conductance-matrix diagonal of one lane, accumulated in edge
     /// insertion order (bitwise-matching the cached assembly's diagonal).

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -25,6 +26,7 @@
 #include "power/fan_model.hpp"
 #include "power/leakage_model.hpp"
 #include "sim/experiment.hpp"
+#include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/steady_state.hpp"
@@ -447,6 +449,62 @@ TEST_P(ControllerContracts, CommandsStayInLegalRange) {
     ASSERT_GT(loop.changes(), 0) << c->name() << " never commanded anything";
     EXPECT_GE(loop.slowest_command(), kMinRpm) << c->name();
     EXPECT_LE(loop.fastest_command(), kMaxRpm) << c->name();
+}
+
+/// Whether two doubles have the same bit pattern.
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST_P(ControllerContracts, RuntimeKeepsFansLegalAndLaneMatchesPackedBatch) {
+    // The closed loop on the real plant: a short idle-then-hot profile
+    // through run_controlled, then the same policy as the middle lane of
+    // a 3-lane run_controlled_batch whose neighbours run other policies
+    // over shorter and longer profiles.  Packing must not move a bit.
+    const contract_case& k = GetParam();
+    workload::utilization_profile profile("idle-then-hot");
+    profile.idle(300_s);
+    profile.constant(100.0, 600_s);
+
+    const auto c = make_policy(k.policy);
+    sim::server_simulator s;
+    const sim::run_metrics alone = core::run_controlled(s, *c, profile);
+    const sim::simulation_trace trace{s.trace()};
+    ASSERT_GT(trace.size(), 0U);
+    const util::column_view rpm = trace.avg_fan_rpm();
+    for (std::size_t i = 0; i < rpm.size(); ++i) {
+        ASSERT_GE(rpm.v(i), kMinRpm) << c->name() << " at t=" << rpm.t(i);
+        ASSERT_LE(rpm.v(i), kMaxRpm) << c->name() << " at t=" << rpm.t(i);
+    }
+
+    workload::utilization_profile shorter("shorter");
+    shorter.constant(60.0, 450_s);
+    workload::utilization_profile longer("longer");
+    longer.constant(30.0, 1200_s);
+    const auto left = make_policy(contract_policy::bang);
+    const auto middle = make_policy(k.policy);
+    const auto right = make_policy(contract_policy::lut);
+    sim::server_batch batch(sim::paper_server(), 3);
+    const std::vector<sim::run_metrics> packed = core::run_controlled_batch(
+        batch, {left.get(), middle.get(), right.get()}, {shorter, profile, longer});
+    const sim::run_metrics& m = packed[1];
+    EXPECT_TRUE(same_bits(m.energy_kwh, alone.energy_kwh)) << c->name();
+    EXPECT_TRUE(same_bits(m.peak_power_w, alone.peak_power_w)) << c->name();
+    EXPECT_TRUE(same_bits(m.max_temp_c, alone.max_temp_c)) << c->name();
+    EXPECT_EQ(m.fan_changes, alone.fan_changes) << c->name();
+    EXPECT_TRUE(same_bits(m.avg_rpm, alone.avg_rpm)) << c->name();
+    EXPECT_TRUE(same_bits(m.avg_cpu_temp_c, alone.avg_cpu_temp_c)) << c->name();
+    EXPECT_TRUE(same_bits(m.duration_s, alone.duration_s)) << c->name();
+    const sim::trace_view lane = batch.trace(1);
+    ASSERT_EQ(lane.size(), trace.size()) << c->name();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        ASSERT_TRUE(same_bits(lane.target_util().t(i), trace.target_util().t(i))) << "row " << i;
+    }
+    for (std::size_t ch = 0; ch < sim::trace_channel_count; ++ch) {
+        const auto id = static_cast<sim::trace_channel>(ch);
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            ASSERT_TRUE(same_bits(lane.channel(id).v(i), trace.channel(id).v(i)))
+                << c->name() << " channel " << sim::trace_channel_name(id) << " row " << i;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,7 @@
 
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "util/error.hpp"
 #include "workload/profile.hpp"
@@ -84,6 +85,24 @@ TEST(Simulator, FanChangeCounting) {
     EXPECT_EQ(s.fan_change_count(), 2U);
     s.reset_fan_change_counter();
     EXPECT_EQ(s.fan_change_count(), 0U);
+}
+
+TEST(Simulator, OutOfRangeFanPairThrowsMonitoredOrNot) {
+    // The fault latch reads per-pair state, so the index is checked
+    // before anything is read — with or without the residual monitor.
+    sim::server_config monitored = sim::paper_server();
+    monitored.monitor.enabled = true;
+    for (const sim::server_config& cfg : {sim::paper_server(), monitored}) {
+        server_simulator s(cfg);
+        const std::size_t pairs = cfg.fan_pairs;
+        EXPECT_THROW(s.set_fan_speed(pairs, 2400_rpm), util::precondition_error);
+        EXPECT_THROW(s.set_fan_speed(pairs + 100, 2400_rpm), util::precondition_error);
+        EXPECT_THROW(static_cast<void>(s.fan_speed(pairs)), util::precondition_error);
+        sim::server_batch b(cfg, 2);
+        EXPECT_THROW(b.set_fan_speed(1, pairs, 2400_rpm), util::precondition_error);
+        EXPECT_EQ(s.fan_change_count(), 0U);
+        EXPECT_EQ(b.fan_change_count(1), 0U);
+    }
 }
 
 TEST(Simulator, FanCommandsClampToRange) {
