@@ -12,6 +12,11 @@ namespace ltsc::sim {
 
 namespace {
 
+/// A die at or above this is in leakage thermal runaway: far past any
+/// junction limit (silicon melts at 1414 degC), where each step
+/// multiplies the exponential leakage until power overflows.
+constexpr double k_runaway_die_c = 1000.0;
+
 const server_config& front_checked(const std::vector<server_config>& configs) {
     util::ensure(!configs.empty(), "server_batch: need at least one lane");
     return configs.front();
@@ -78,15 +83,8 @@ void server_batch::init_lane(std::size_t lane, const server_config& config) {
     update_conductances(lane);
     update_preheat(lane);
 
-    // Sensor complement and telemetry (channel registration order fixes
-    // the RNG draw order).
-    ln.sensors = thermal::make_server_sensors(
-        [this, lane](std::size_t s) { return batch_.temperature(proto_.die_node(s), lane); },
-        [this, lane] { return batch_.temperature(proto_.dimm_node(), lane); }, config.dimm_count,
-        ln.rng, config.sensor_noise_sigma, config.sensor_quantum);
     ln.last_cpu_sensor_reads.assign(ln.sensors.cpu.size(), config.thermal.ambient_c);
     ln.fault.reset(ln.fans.pair_count(), ln.sensors.cpu.size());
-    register_telemetry(lane);
     apply_airflow(lane);
     apply_heat(lane, 0.0);
     if (config.monitor.enabled) {
@@ -95,49 +93,48 @@ void server_batch::init_lane(std::size_t lane, const server_config& config) {
     }
 }
 
-void server_batch::register_telemetry(std::size_t lane) {
+std::vector<std::string> server_batch::history_names(const thermal::server_sensor_suite& sensors) {
+    std::vector<std::string> names;
+    for (const thermal::temperature_sensor& s : sensors.cpu) {
+        names.push_back(s.name());
+    }
+    names.insert(names.end(), {"cpu0_current", "cpu1_current", "system_power", "fan_power"});
+    util::ensure(names.size() == history_columns, "server_batch: unexpected CPU sensor count");
+    return names;
+}
+
+void server_batch::poll_telemetry(std::size_t lane) {
     lane_state& ln = *lanes_[lane];
+    double row[history_columns];
+    // The draw order (4 CPU sensors, then every DIMM sensor) is the
+    // lane's noise stream.  The true sensor is always read first so the
+    // stream stays aligned with a healthy run; corruption (stuck, bias,
+    // dropout) applies between the sensor and the delivered value.
     for (std::size_t i = 0; i < ln.sensors.cpu.size(); ++i) {
-        ln.telemetry.add_channel(ln.sensors.cpu[i].name(), "degC", [this, lane, i] {
-            // The true sensor is always read first so the noise stream
-            // stays aligned with a healthy run; corruption (stuck, bias,
-            // dropout) applies between the sensor and the delivered value.
-            const double raw = lanes_[lane]->sensors.cpu[i].read().value();
-            const double v = corrupt_sensor_reading(lane, i, raw);
-            lanes_[lane]->last_cpu_sensor_reads[i] = v;
-            return v;
-        });
+        const util::celsius_t truth{die_temp(lane, i / 2)};
+        const double raw = ln.sensors.cpu[i].read(truth, ln.rng).value();
+        const double v = corrupt_sensor_reading(lane, i, raw);
+        ln.last_cpu_sensor_reads[i] = v;
+        row[i] = v;
     }
-    for (std::size_t i = 0; i < ln.sensors.dimm.size(); ++i) {
-        ln.telemetry.add_channel(ln.sensors.dimm[i].name(), "degC",
-                                 [this, lane, i] {
-                                     return lanes_[lane]->sensors.dimm[i].read().value();
-                                 },
-                                 /*ring_capacity=*/512, /*record_history=*/false);
+    // Nothing reads the DIMM values, but their draws keep every later
+    // reading on the same noise stream.
+    const util::celsius_t dimm_truth = true_dimm_temp(lane);
+    for (const thermal::temperature_sensor& d : ln.sensors.dimm) {
+        static_cast<void>(d.read(dimm_truth, ln.rng));
     }
-    // Per-socket rail telemetry (the paper collects per-core V/I; the
-    // aggregate per-socket rail carries the same information here).
+    // Per-socket rail current (the paper collects per-core V/I; the
+    // aggregate per-socket rail carries the same information here).  At
+    // the 1.0 V rail the current in amps equals the rail power in watts.
+    const double u = ln.workload ? ln.workload->instantaneous_utilization(now(lane)) : 0.0;
     for (std::size_t s = 0; s < thermal::server_thermal_model::socket_count(); ++s) {
-        ln.telemetry.add_channel("cpu" + std::to_string(s) + "_voltage", "V",
-                                 [] { return 1.0; }, 16, false);
-        ln.telemetry.add_channel("cpu" + std::to_string(s) + "_current", "A", [this, lane, s] {
-            const lane_state& l = *lanes_[lane];
-            const double u =
-                l.workload ? l.workload->instantaneous_utilization(now(lane)) : 0.0;
-            const double share = s == 0 ? l.imbalance : 1.0 - l.imbalance;
-            const double rail_w =
-                l.config.cpu_idle_each_w + l.active.cpu(u).value() * share +
-                l.leakage.share_at(util::celsius_t{die_temp(lane, s)}, 2).value();
-            return rail_w / 1.0;
-        });
+        const double share = s == 0 ? ln.imbalance : 1.0 - ln.imbalance;
+        row[4 + s] = ln.config.cpu_idle_each_w + ln.active.cpu(u).value() * share +
+                     ln.leakage.share_at(util::celsius_t{die_temp(lane, s)}, 2).value();
     }
-    ln.telemetry.add_channel("system_power", "W", [this, lane] {
-        const lane_state& l = *lanes_[lane];
-        const double u = l.workload ? l.workload->instantaneous_utilization(now(lane)) : 0.0;
-        return breakdown_at(lane, u).total().value();
-    });
-    ln.telemetry.add_channel("fan_power", "W",
-                             [this, lane] { return lanes_[lane]->fans.total_power().value(); });
+    row[6] = breakdown_at(lane, u).total().value();
+    row[7] = ln.fans.total_power().value();
+    ln.telemetry.record(now(lane), row, history_columns);
 }
 
 void server_batch::bind_workload(std::size_t lane, workload::loadgen generator) {
@@ -267,7 +264,7 @@ double server_batch::measured_utilization(std::size_t lane, util::seconds_t wind
     return ln.workload->measured_utilization(now(lane), window);
 }
 
-std::vector<double> server_batch::cpu_sensor_temps(std::size_t lane) const {
+const std::vector<double>& server_batch::cpu_sensor_temps(std::size_t lane) const {
     return at(lane).last_cpu_sensor_reads;
 }
 
@@ -508,13 +505,27 @@ void server_batch::step(util::seconds_t dt) {
         }
         lane_state& ln = *lanes_[l];
         ln.now_s += dt.value();
+        if (!(die_temp(l, 0) < k_runaway_die_c && die_temp(l, 1) < k_runaway_die_c)) {
+            // Leakage feeds on die temperature: past the fans' reach it
+            // diverges.  Report it here, as the plant fault it is, in
+            // every build type, before anything records a non-finite
+            // power (rc_batch's finite check runs only in Debug).
+            throw util::numeric_error("server_batch::step: thermal runaway on lane " +
+                                      std::to_string(l) + " at t=" + std::to_string(ln.now_s) +
+                                      " s");
+        }
         if (ln.monitor) {
             ln.monitor->step(dt, u_inst_scratch_[l], ln.imbalance, batch_.ambient(l), ln.fans);
         }
         record(l, u_target_scratch_[l], u_inst_scratch_[l]);
-        ln.telemetry.set_poll_suppressed(ln.fault.telemetry_lost(ln.now_s));
-        if (ln.telemetry.poll_due(now(l)) && ln.monitor) {
-            ln.monitor->on_poll(ln.last_cpu_sensor_reads);
+        // A telemetry_loss window drops every due poll: nothing is read
+        // and the clock does not advance, so observers see the last
+        // delivered values age, as under a crashed CSTH poller.
+        if (!ln.fault.telemetry_lost(ln.now_s) && ln.telemetry.due(now(l))) {
+            poll_telemetry(l);
+            if (ln.monitor) {
+                ln.monitor->on_poll(ln.last_cpu_sensor_reads);
+            }
         }
     }
 }
@@ -579,7 +590,7 @@ void server_batch::force_cold_start(std::size_t lane) {
     clear_trace(lane);
     set_lane_active(lane, true);
     ln.telemetry.reset();
-    ln.telemetry.poll_now(now(lane));
+    poll_telemetry(lane);
     if (ln.monitor) {
         ln.monitor->on_poll(ln.last_cpu_sensor_reads);
     }
@@ -681,7 +692,6 @@ void server_batch::clear_fault_effects(std::size_t lane) {
         ln.fans.set_failed(i, false);
         ln.fans.set_tach_stuck(i, false);
     }
-    ln.telemetry.set_poll_suppressed(false);
 }
 
 double server_batch::telemetry_age_s(std::size_t lane) const {

@@ -11,7 +11,9 @@
 //
 // Every lane is a full server (workload synthesis, power models,
 // sensors with their own seeded RNG stream, fault layer, residual
-// monitor, telemetry harness, trace).  The thermal state lives in
+// monitor, telemetry poll clock and history, trace).  A lane's CSTH
+// poll is one plain pass that reads its sensors and power state and
+// appends one history row (poll_telemetry).  The thermal state lives in
 // lane-contiguous flat arrays (thermal::rc_batch) and all lanes
 // integrate through one batched RK4 kernel per step; power evaluation
 // (active + leakage + fan) and controller decisions run as flat
@@ -29,6 +31,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/fault_monitor.hpp"
@@ -57,13 +60,6 @@ public:
 
     /// N identical lanes from one configuration.
     server_batch(const server_config& config, std::size_t lanes);
-
-    // Sensor/telemetry closures capture lane addresses; the batch is
-    // pinned in memory.
-    server_batch(const server_batch&) = delete;
-    server_batch& operator=(const server_batch&) = delete;
-    server_batch(server_batch&&) = delete;
-    server_batch& operator=(server_batch&&) = delete;
 
     [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
@@ -147,13 +143,20 @@ public:
     [[nodiscard]] double measured_utilization(std::size_t lane, util::seconds_t window) const;
 
     // --- observation surface (per lane) ------------------------------------
-    /// Latest CPU sensor readings (4 values), from the last telemetry poll.
-    [[nodiscard]] std::vector<double> cpu_sensor_temps(std::size_t lane) const;
+    /// Latest CPU sensor readings (4 values), from the last telemetry poll
+    /// (the reference stays valid; the values change at the next poll).
+    [[nodiscard]] const std::vector<double>& cpu_sensor_temps(std::size_t lane) const;
     /// Maximum of the CPU sensor readings at the last telemetry poll.
     [[nodiscard]] util::celsius_t max_cpu_sensor_temp(std::size_t lane) const;
     /// Whole-system power as the power sensor reports it.
     [[nodiscard]] util::watts_t system_power_reading(std::size_t lane) const;
-    /// The lane's telemetry harness (channel access, CSV export).
+    /// The lane's sensor complement (4 CPU, `dimm_count` DIMM sensors).
+    [[nodiscard]] const thermal::server_sensor_suite& sensors(std::size_t lane) const {
+        return at(lane).sensors;
+    }
+    /// The lane's telemetry: poll clock and per-poll history (columns
+    /// cpu0_temp_a, cpu0_temp_b, cpu1_temp_a, cpu1_temp_b, cpu0_current,
+    /// cpu1_current, system_power, fan_power).
     [[nodiscard]] const telemetry::harness& telemetry(std::size_t lane) const;
 
     // --- ground truth (per lane; not visible to real controllers) ----------
@@ -248,7 +251,9 @@ private:
               fans(cfg.fan_pairs, cfg.fan, cfg.default_fan_rpm),
               leakage(cfg.leakage),
               active(cfg.active_coeff_w_per_pct, cfg.split, cfg.cpu_heat_shape_exponent),
-              telemetry(util::seconds_t{cfg.telemetry_period_s}) {}
+              sensors(thermal::make_server_sensors(cfg.dimm_count, cfg.sensor_noise_sigma,
+                                                   cfg.sensor_quantum)),
+              telemetry(util::seconds_t{cfg.telemetry_period_s}, history_names(sensors)) {}
 
         server_config config;
         util::pcg32 rng;
@@ -278,7 +283,14 @@ private:
     };
 
     void init_lane(std::size_t lane, const server_config& config);
-    void register_telemetry(std::size_t lane);
+    /// Telemetry history row: the 4 CPU sensors, 2 socket rail currents,
+    /// system power, fan power.
+    static constexpr std::size_t history_columns = 8;
+    [[nodiscard]] static std::vector<std::string> history_names(
+        const thermal::server_sensor_suite& sensors);
+    /// One CSTH poll of a lane: reads every sensor, delivers the CPU
+    /// readings, appends one history row and moves the poll clock.
+    void poll_telemetry(std::size_t lane);
     void apply_due_faults(std::size_t lane);
     void apply_fault_event(std::size_t lane, const fault_event& event);
     void clear_fault_effects(std::size_t lane);

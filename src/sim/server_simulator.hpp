@@ -71,7 +71,7 @@ public:
     }
 
     // --- observation surface (what CSTH reported) --------------------------
-    [[nodiscard]] std::vector<double> cpu_sensor_temps() const {
+    [[nodiscard]] const std::vector<double>& cpu_sensor_temps() const {
         return batch_.cpu_sensor_temps(0);
     }
     [[nodiscard]] util::celsius_t max_cpu_sensor_temp() const {
@@ -79,6 +79,9 @@ public:
     }
     [[nodiscard]] util::watts_t system_power_reading() const {
         return batch_.system_power_reading(0);
+    }
+    [[nodiscard]] const thermal::server_sensor_suite& sensors() const {
+        return batch_.sensors(0);
     }
     [[nodiscard]] const telemetry::harness& telemetry() const { return batch_.telemetry(0); }
 

@@ -1,107 +1,36 @@
 #include "telemetry/harness.hpp"
 
-#include <ostream>
-
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace ltsc::telemetry {
 
-harness::harness(util::seconds_t period) : period_(period) {
+harness::harness(util::seconds_t period, const std::vector<std::string>& columns)
+    : period_(period) {
     util::ensure(period.value() > 0.0, "harness: non-positive polling period");
+    for (const std::string& name : columns) {
+        history_.add_channel(name);
+    }
 }
 
-std::size_t harness::add_channel(std::string name, std::string unit,
-                                 std::function<double()> source, std::size_t ring_capacity,
-                                 bool record_history) {
-    for (const auto& ch : channels_) {
-        util::ensure(ch->name() != name, "harness::add_channel: duplicate channel name " + name);
-    }
-    util::ensure(!record_history || history_.empty(),
-                 "harness::add_channel: cannot add a recorded channel after polling started");
-    channels_.push_back(std::make_unique<channel>(std::move(name), std::move(unit),
-                                                  std::move(source), ring_capacity, record_history));
-    channel& ch = *channels_.back();
-    if (record_history) {
-        ch.history_frame_ = &history_;
-        ch.history_column_ = history_.add_channel(ch.name());
-    }
-    return channels_.size() - 1;
+bool harness::due(util::seconds_t now) const {
+    return !polled_once_ || now.value() - last_poll_ >= period_.value() - 1e-9;
 }
 
-bool harness::poll_due(util::seconds_t now) {
-    if (suppressed_) {
-        return false;
-    }
-    if (polled_once_ && now.value() - last_poll_ < period_.value() - 1e-9) {
-        return false;
-    }
-    poll_now(now);
-    return true;
-}
-
-void harness::poll_now(util::seconds_t now) {
-    // Channels are sampled in registration order (sources may share
-    // side-effecting state, e.g. one RNG stream); history values land in
-    // one shared frame row.
-    poll_scratch_.resize(history_.channel_count());
-    for (const auto& ch : channels_) {
-        const double v = ch->poll(now.value());
-        if (ch->records_history()) {
-            poll_scratch_[ch->history_column_] = v;
-        }
-    }
-    if (history_.channel_count() > 0) {
-        history_.append(now.value(), poll_scratch_.data(), poll_scratch_.size());
-    }
+void harness::record(util::seconds_t now, const double* values, std::size_t count) {
+    history_.append(now.value(), values, count);
     last_poll_ = now.value();
     polled_once_ = true;
 }
 
 void harness::reset() {
-    for (const auto& ch : channels_) {
-        ch->clear();
-    }
     history_.clear();
     last_poll_ = -1.0;
     polled_once_ = false;
-    suppressed_ = false;
 }
 
 void harness::restore_poll_clock(double last_poll_s, bool ever_polled) {
     last_poll_ = last_poll_s;
     polled_once_ = ever_polled;
 }
-
-const channel& harness::by_name(const std::string& name) const {
-    for (const auto& ch : channels_) {
-        if (ch->name() == name) {
-            return *ch;
-        }
-    }
-    throw util::precondition_error("harness::by_name: unknown channel " + name);
-}
-
-const channel& harness::by_index(std::size_t i) const {
-    util::ensure(i < channels_.size(), "harness::by_index: index out of range");
-    return *channels_[i];
-}
-
-double harness::latest(const std::string& name) const {
-    const auto sample = by_name(name).latest();
-    util::ensure(sample.has_value(), "harness::latest: channel never polled: " + name);
-    return sample->v;
-}
-
-std::vector<util::named_series> harness::export_series() const {
-    std::vector<util::named_series> out;
-    out.reserve(channels_.size());
-    for (const auto& ch : channels_) {
-        out.push_back(ch->to_named_series());
-    }
-    return out;
-}
-
-void harness::write_csv(std::ostream& os) const { util::write_series_csv(os, export_series()); }
 
 }  // namespace ltsc::telemetry

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "sim/server_batch.hpp"
 #include "sim/server_simulator.hpp"
 #include "util/error.hpp"
+#include "workload/paper_tests.hpp"
 #include "workload/profile.hpp"
 
 namespace {
@@ -528,6 +530,50 @@ TEST(FaultInjection, TelemetryLossSuppressesPollsAndAgesObservations) {
     s.advance(20_s);  // now 90, past the window; polls resumed
     EXPECT_LE(s.telemetry_age_s(), 10.0);
     EXPECT_NE(s.cpu_sensor_temps(), last_good);
+}
+
+TEST(FaultInjection, TelemetryLossWindowRecordsNoHistoryRows) {
+    sim::server_simulator s;
+    s.bind_workload(steady(60.0, 400.0));
+    s.bind_fault_schedule(
+        sim::fault_schedule({ev(35.0, sim::fault_kind::telemetry_loss, 0, 0.0, 40.0)}));
+    s.force_cold_start();
+
+    s.advance(74_s);  // inside the window [35, 75): polls at 40..70 dropped
+    EXPECT_EQ(s.telemetry().history().size(), 4U);  // 0, 10, 20, 30
+    EXPECT_DOUBLE_EQ(s.telemetry().last_poll_time(), 30.0);
+    EXPECT_DOUBLE_EQ(s.telemetry_age_s(), 44.0);  // the clock ages
+
+    s.advance(26_s);  // now 100: the first step out of the window polls,
+                      // then the 10 s cadence runs from there
+    const std::vector<double> expected = {0.0, 10.0, 20.0, 30.0, 75.0, 85.0, 95.0};
+    EXPECT_EQ(s.telemetry().history().time(), expected);
+    EXPECT_DOUBLE_EQ(s.telemetry_age_s(), 5.0);
+}
+
+TEST(FaultInjection, ThermalRunawayIsAPlantNumericError) {
+    // Test-2 held open loop at 2400 rpm with fan pair 1 dead from 600 s:
+    // leakage outruns the remaining airflow and the die diverges (565
+    // degC at 1261 s, 1e9 degC with infinite leakage power at 1262 s).
+    // The plant reports it as a numeric error from the step in every
+    // build type, not as a recorder precondition failure.
+    sim::server_simulator s;
+    s.bind_fault_schedule(sim::fault_schedule({ev(600.0, sim::fault_kind::fan_failure, 1)}));
+    s.bind_workload(workload::make_paper_test(workload::paper_test::test2_periods));
+    s.force_cold_start();
+    s.set_all_fans(2400_rpm);
+    try {
+        s.advance(util::seconds_t{2000.0});
+        FAIL() << "expected util::numeric_error";
+    } catch (const util::numeric_error& e) {
+        if (std::string(e.what()).find("rc_batch") == std::string::npos) {
+            // Release: the plant's own check names the lane and time.
+            EXPECT_NE(std::string(e.what()).find("thermal runaway on lane 0"), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_GT(s.now().value(), 1200.0);
+    EXPECT_LT(s.now().value(), 1300.0);
 }
 
 TEST(FaultInjection, FailsafeEngagesOnStaleSensorsAndHandsBack) {

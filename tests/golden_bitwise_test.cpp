@@ -12,10 +12,12 @@
 // Covered: the 12 Table-I cells (4 paper tests x Default/Bang/LUT)
 // through run_controlled, each of the 16 channels of the Fig. 1(a)
 // 1800 rpm protocol trace, a faulted and monitored FailsafeBang run, a
-// mid-run snapshot_state/restore_state continuation, and the
-// characterize() LUT.
+// mid-run snapshot_state/restore_state continuation, the full telemetry
+// history (time axis plus all 8 columns) of the Fig. 1(a) 1800 rpm run
+// and of the faulted run, and the characterize() LUT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -233,6 +235,61 @@ TEST(GoldenBitwise, SnapshotRestoreContinuation) {
     const sim::trace_view tr = b.trace();
     ASSERT_EQ(tr.size(), 1500U);
     EXPECT_EQ(hex(trace_hash(tr)), hex(0x3a30cb54588c4b90ULL)) << "continuation trace";
+}
+
+// --- telemetry history: time axis plus every column ------------------------------
+
+/// Hash of a telemetry history frame: its shape, then every row's time
+/// stamp and its values in column order.
+std::uint64_t history_hash(const util::frame& f) {
+    fnv1a h;
+    h.add(static_cast<std::uint64_t>(f.size()));
+    h.add(static_cast<std::uint64_t>(f.channel_count()));
+    for (std::size_t i = 0; i < f.size(); ++i) {
+        h.add(f.time()[i]);
+        for (std::size_t c = 0; c < f.channel_count(); ++c) {
+            h.add(f.values(c)[i]);
+        }
+    }
+    return h.value();
+}
+
+void expect_history_columns(const util::frame& f) {
+    static const char* const names[] = {"cpu0_temp_a",  "cpu0_temp_b",  "cpu1_temp_a",
+                                        "cpu1_temp_b",  "cpu0_current", "cpu1_current",
+                                        "system_power", "fan_power"};
+    ASSERT_EQ(f.channel_count(), 8U);
+    for (std::size_t c = 0; c < 8; ++c) {
+        EXPECT_EQ(f.channel_name(c), names[c]) << "column " << c;
+    }
+}
+
+TEST(GoldenBitwise, TelemetryHistoryEveryColumn) {
+    sim::server_simulator fig1a;
+    sim::run_protocol_experiment(fig1a, 1800_rpm, 100.0);
+    const util::frame& h1 = fig1a.telemetry().history();
+    expect_history_columns(h1);
+    EXPECT_EQ(h1.size(), 271U);  // cold-start poll plus one per 10 s
+    EXPECT_EQ(hex(history_hash(h1)), hex(0xed2412bd49e0eec6ULL)) << "Fig. 1(a) 1800 rpm history";
+
+    // The mixed campaign's telemetry_loss window (1200 s + 90 s) drops
+    // polls, so this history has gaps in its time axis.
+    sim::server_config cfg = sim::paper_server();
+    cfg.monitor.enabled = true;
+    sim::server_simulator faulted(cfg);
+    faulted.bind_fault_schedule(mixed_campaign());
+    core::failsafe_controller c(std::make_unique<core::bang_bang_controller>());
+    static_cast<void>(core::run_controlled(
+        faulted, c, workload::make_paper_test(workload::paper_test::test3_frequent)));
+    const util::frame& h2 = faulted.telemetry().history();
+    expect_history_columns(h2);
+    EXPECT_EQ(h2.size(), 473U);
+    double widest_gap = 0.0;
+    for (std::size_t i = 1; i < h2.size(); ++i) {
+        widest_gap = std::max(widest_gap, h2.time()[i] - h2.time()[i - 1]);
+    }
+    EXPECT_GE(widest_gap, 90.0);
+    EXPECT_EQ(hex(history_hash(h2)), hex(0xdf042545f8070237ULL)) << "faulted monitored history";
 }
 
 // --- characterize() LUT ------------------------------------------------------------

@@ -220,15 +220,23 @@ TEST(Protocol, CustomTimingHonoured) {
 }
 
 TEST(FailureInjection, TelemetryChannelsPresent) {
-    // The CSTH complement the paper lists: 4 CPU temps, 32 DIMM temps,
-    // per-socket V/I, system power (+ fan power).
+    // The CSTH complement the paper lists: 4 CPU temps and 32 DIMM temps
+    // are read every poll; the history keeps the CPU temps, per-socket
+    // rail current, system power and fan power.
     sim::server_simulator s;
-    const auto& t = s.telemetry();
-    EXPECT_EQ(t.channel_count(), 4U + 32U + 4U + 1U + 1U);
-    EXPECT_NO_THROW(static_cast<void>(t.by_name("cpu0_temp_a")));
-    EXPECT_NO_THROW(static_cast<void>(t.by_name("dimm31_temp")));
-    EXPECT_NO_THROW(static_cast<void>(t.by_name("system_power")));
-    EXPECT_THROW(static_cast<void>(t.by_name("nonexistent")), util::precondition_error);
+    ASSERT_EQ(s.sensors().cpu.size(), 4U);
+    ASSERT_EQ(s.sensors().dimm.size(), 32U);
+    EXPECT_EQ(s.sensors().cpu[0].name(), "cpu0_temp_a");
+    EXPECT_EQ(s.sensors().dimm[31].name(), "dimm31_temp");
+    const util::frame& h = s.telemetry().history();
+    const std::vector<std::string> expected = {"cpu0_temp_a",  "cpu0_temp_b",  "cpu1_temp_a",
+                                               "cpu1_temp_b",  "cpu0_current", "cpu1_current",
+                                               "system_power", "fan_power"};
+    ASSERT_EQ(h.channel_count(), expected.size());
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+        EXPECT_EQ(h.channel_name(c), expected[c]) << "column " << c;
+    }
+    EXPECT_THROW(static_cast<void>(h.column("nonexistent")), util::precondition_error);
 }
 
 }  // namespace

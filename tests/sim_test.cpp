@@ -144,7 +144,7 @@ TEST(Simulator, TelemetryPollsEvery10s) {
     s.force_cold_start();
     s.advance(100_s);
     // Cold-start poll at t=0 plus one every 10 s.
-    EXPECT_NEAR(static_cast<double>(s.telemetry().by_name("system_power").history().size()),
+    EXPECT_NEAR(static_cast<double>(s.telemetry().history().size()),
                 11.0, 1.0);
 }
 

@@ -1,9 +1,9 @@
-// Unit tests for the CSTH-style telemetry harness.
+// Unit tests for the CSTH-style telemetry harness: poll clock and
+// columnar history.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "telemetry/channel.hpp"
 #include "telemetry/harness.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -13,167 +13,104 @@ namespace {
 using namespace ltsc;
 using namespace ltsc::util::literals;
 
-// --- sample ring -----------------------------------------------------------
-
-TEST(SampleRing, HoldsUpToCapacity) {
-    telemetry::sample_ring ring(3);
-    ring.push(0.0, 1.0);
-    ring.push(1.0, 2.0);
-    EXPECT_EQ(ring.size(), 2U);
-    ring.push(2.0, 3.0);
-    ring.push(3.0, 4.0);  // evicts the oldest
-    EXPECT_EQ(ring.size(), 3U);
-    EXPECT_DOUBLE_EQ(ring.recent(0).v, 4.0);
-    EXPECT_DOUBLE_EQ(ring.recent(2).v, 2.0);
-}
-
-TEST(SampleRing, SnapshotOldestToNewest) {
-    telemetry::sample_ring ring(4);
-    for (int i = 0; i < 6; ++i) {
-        ring.push(i, i * 10.0);
+/// Polls `h` at `now` when due, recording `v` in every column.
+bool poll_if_due(telemetry::harness& h, util::seconds_t now, double v) {
+    if (!h.due(now)) {
+        return false;
     }
-    const auto snap = ring.snapshot();
-    ASSERT_EQ(snap.size(), 4U);
-    EXPECT_DOUBLE_EQ(snap.front().v, 20.0);
-    EXPECT_DOUBLE_EQ(snap.back().v, 50.0);
+    const std::vector<double> row(h.history().channel_count(), v);
+    h.record(now, row.data(), row.size());
+    return true;
 }
-
-TEST(SampleRing, RecentOutOfRangeThrows) {
-    telemetry::sample_ring ring(2);
-    ring.push(0.0, 1.0);
-    EXPECT_THROW(static_cast<void>(ring.recent(1)), util::precondition_error);
-}
-
-TEST(SampleRing, ClearEmpties) {
-    telemetry::sample_ring ring(2);
-    ring.push(0.0, 1.0);
-    ring.clear();
-    EXPECT_TRUE(ring.empty());
-}
-
-// --- channel -----------------------------------------------------------------
-
-TEST(Channel, PollsSourceAndRecords) {
-    // Histories live in the owning harness's shared columnar frame; the
-    // channel exposes its column as a view.
-    telemetry::harness h(10_s);
-    double value = 42.0;
-    h.add_channel("sig", "W", [&value] { return value; });
-    h.poll_now(0_s);
-    value = 43.0;
-    h.poll_now(10_s);
-    const telemetry::channel& ch = h.by_name("sig");
-    ASSERT_TRUE(ch.latest().has_value());
-    EXPECT_DOUBLE_EQ(ch.latest()->v, 43.0);
-    EXPECT_EQ(ch.history().size(), 2U);
-    EXPECT_DOUBLE_EQ(ch.history().at(0).v, 42.0);
-    EXPECT_DOUBLE_EQ(ch.history().at(1).t, 10.0);
-}
-
-TEST(Channel, StandaloneChannelRecordsItsOwnHistory) {
-    double value = 7.0;
-    telemetry::channel ch("sig", "W", [&value] { return value; });
-    EXPECT_DOUBLE_EQ(ch.poll(0.0), 7.0);
-    value = 8.0;
-    ch.poll(10.0);
-    ASSERT_TRUE(ch.latest().has_value());
-    EXPECT_EQ(ch.ring().size(), 2U);
-    // No harness: the channel archives into its own columns.
-    ASSERT_EQ(ch.history().size(), 2U);
-    EXPECT_DOUBLE_EQ(ch.history().at(1).v, 8.0);
-    EXPECT_THROW(ch.poll(5.0), util::precondition_error);  // time went backwards
-    ch.clear();
-    EXPECT_TRUE(ch.history().empty());
-    telemetry::channel no_hist("sig", "W", [] { return 1.0; }, 8, false);
-    no_hist.poll(0.0);
-    EXPECT_TRUE(no_hist.history().empty());
-}
-
-TEST(Channel, HistoryCanBeDisabled) {
-    telemetry::harness h;
-    h.add_channel("sig", "W", [] { return 1.0; }, 8, false);
-    h.poll_now(0_s);
-    const telemetry::channel& ch = h.by_name("sig");
-    EXPECT_TRUE(ch.history().empty());
-    EXPECT_EQ(ch.ring().size(), 1U);
-    EXPECT_EQ(h.history().channel_count(), 0U);
-}
-
-TEST(Channel, NamedSeriesExport) {
-    telemetry::harness h;
-    h.add_channel("cpu0_temp", "degC", [] { return 55.0; });
-    h.poll_now(0_s);
-    const auto ns = h.by_name("cpu0_temp").to_named_series();
-    EXPECT_EQ(ns.name, "cpu0_temp");
-    EXPECT_EQ(ns.unit, "degC");
-    EXPECT_EQ(ns.data.size(), 1U);
-}
-
-TEST(Channel, NullSourceThrows) {
-    EXPECT_THROW(telemetry::channel("x", "W", nullptr), util::precondition_error);
-}
-
-// --- harness -------------------------------------------------------------------
 
 TEST(Harness, PollsAtConfiguredCadence) {
-    telemetry::harness h(10_s);
-    int polls = 0;
-    h.add_channel("c", "u", [&polls] { return static_cast<double>(++polls); });
-    EXPECT_TRUE(h.poll_due(0_s));
-    EXPECT_FALSE(h.poll_due(5_s));
-    EXPECT_FALSE(h.poll_due(9.5_s));
-    EXPECT_TRUE(h.poll_due(10_s));
-    EXPECT_EQ(polls, 2);
+    telemetry::harness h(10_s, {"c"});
+    EXPECT_TRUE(poll_if_due(h, 0_s, 1.0));
+    EXPECT_FALSE(poll_if_due(h, 5_s, 2.0));
+    EXPECT_FALSE(poll_if_due(h, 9.5_s, 3.0));
+    EXPECT_TRUE(poll_if_due(h, 10_s, 4.0));
+    ASSERT_EQ(h.history().size(), 2U);
+    EXPECT_DOUBLE_EQ(h.history().column("c").back().v, 4.0);
 }
 
 TEST(Harness, LatestByName) {
-    telemetry::harness h;
-    h.add_channel("power", "W", [] { return 500.0; });
-    h.poll_now(0_s);
-    EXPECT_DOUBLE_EQ(h.latest("power"), 500.0);
-    EXPECT_THROW(static_cast<void>(h.latest("missing")), util::precondition_error);
+    telemetry::harness h(10_s, {"power"});
+    const double row = 500.0;
+    h.record(0_s, &row, 1);
+    EXPECT_DOUBLE_EQ(h.history().column("power").back().v, 500.0);
+    EXPECT_THROW(static_cast<void>(h.history().column("missing")), util::precondition_error);
 }
 
 TEST(Harness, DuplicateNameRejected) {
-    telemetry::harness h;
-    h.add_channel("a", "u", [] { return 0.0; });
-    EXPECT_THROW(h.add_channel("a", "u", [] { return 0.0; }), util::precondition_error);
+    EXPECT_THROW(telemetry::harness(10_s, {"a", "a"}), util::precondition_error);
+    EXPECT_THROW(telemetry::harness(10_s, {""}), util::precondition_error);
+    EXPECT_THROW(telemetry::harness(0_s, {"a"}), util::precondition_error);
 }
 
 TEST(Harness, NeverPolledLatestThrows) {
-    telemetry::harness h;
-    h.add_channel("a", "u", [] { return 0.0; });
-    EXPECT_THROW(static_cast<void>(h.latest("a")), util::precondition_error);
+    telemetry::harness h(10_s, {"a"});
+    EXPECT_FALSE(h.ever_polled());
+    EXPECT_TRUE(h.history().empty());
+    EXPECT_THROW(static_cast<void>(h.history().column("a").back()), util::precondition_error);
 }
 
 TEST(Harness, ResetClearsEverything) {
-    telemetry::harness h(10_s);
-    h.add_channel("a", "u", [] { return 1.0; });
-    h.poll_now(0_s);
-    h.poll_now(10_s);
+    telemetry::harness h(10_s, {"a"});
+    const double row = 1.0;
+    h.record(0_s, &row, 1);
+    h.record(10_s, &row, 1);
     h.reset();
-    EXPECT_FALSE(h.by_name("a").latest().has_value());
+    EXPECT_TRUE(h.history().empty());
+    EXPECT_FALSE(h.ever_polled());
+    EXPECT_EQ(h.history().channel_count(), 1U);  // the columns stay
     // After reset, polling from t = 0 again is legal.
-    EXPECT_TRUE(h.poll_due(0_s));
+    EXPECT_TRUE(poll_if_due(h, 0_s, 1.0));
+}
+
+TEST(Harness, RestoredPollClockKeepsTheSchedule) {
+    telemetry::harness original(10_s, {"a"});
+    EXPECT_TRUE(poll_if_due(original, 0_s, 1.0));
+    EXPECT_TRUE(poll_if_due(original, 10_s, 1.0));
+
+    telemetry::harness clone(10_s, {"a"});
+    clone.restore_poll_clock(original.last_poll_time(), original.ever_polled());
+    EXPECT_TRUE(clone.history().empty());  // the clock only, not the history
+    EXPECT_DOUBLE_EQ(clone.last_poll_time(), 10.0);
+    EXPECT_TRUE(clone.ever_polled());
+    for (const double t : {15.0, 19.5, 20.0, 25.0, 30.0}) {
+        EXPECT_EQ(poll_if_due(clone, util::seconds_t{t}, 1.0),
+                  poll_if_due(original, util::seconds_t{t}, 1.0))
+            << "t = " << t;
+    }
+    EXPECT_EQ(clone.history().size(), 2U);  // at 20 s and 30 s
+}
+
+TEST(Harness, RowWidthMustMatchTheColumns) {
+    telemetry::harness h(10_s, {"a", "b"});
+    const double row[3] = {1.0, 2.0, 3.0};
+    EXPECT_THROW(h.record(0_s, row, 3), util::precondition_error);
+    EXPECT_FALSE(h.ever_polled());  // a rejected row moves no clock
 }
 
 TEST(Harness, CsvExportParses) {
-    telemetry::harness h;
-    h.add_channel("t1", "degC", [] { return 60.0; });
-    h.add_channel("p1", "W", [] { return 400.0; });
-    h.poll_now(0_s);
-    h.poll_now(10_s);
+    telemetry::harness h(10_s, {"t1", "p1"});
+    const double row[2] = {60.0, 400.0};
+    h.record(0_s, row, 2);
+    h.record(10_s, row, 2);
+    std::vector<util::named_series> series;
+    for (std::size_t c = 0; c < h.history().channel_count(); ++c) {
+        series.push_back({h.history().channel_name(c), "", h.history().column(c).to_series()});
+    }
     std::ostringstream os;
-    h.write_csv(os);
+    util::write_series_csv(os, series);
     const auto doc = util::parse_csv(os.str());
     EXPECT_EQ(doc.rows.size(), 4U);  // 2 channels x 2 polls
 }
 
 TEST(Harness, ByIndexBoundsChecked) {
-    telemetry::harness h;
-    h.add_channel("a", "u", [] { return 0.0; });
-    EXPECT_EQ(h.by_index(0).name(), "a");
-    EXPECT_THROW(static_cast<void>(h.by_index(1)), util::precondition_error);
+    telemetry::harness h(10_s, {"a"});
+    EXPECT_EQ(h.history().channel_name(0), "a");
+    EXPECT_THROW(static_cast<void>(h.history().column(1)), util::precondition_error);
 }
 
 }  // namespace

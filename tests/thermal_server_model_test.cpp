@@ -203,27 +203,24 @@ TEST(ServerThermal, ResetReturnsToAmbient) {
 
 TEST(Sensors, NoiselessSensorReportsBiasedTruth) {
     util::pcg32 rng(1);
-    thermal::temperature_sensor s("t", [] { return 60_degC; }, util::celsius_t{1.5}, 0.0, 0.0,
-                                  rng);
-    EXPECT_DOUBLE_EQ(s.read().value(), 61.5);
+    thermal::temperature_sensor s("t", util::celsius_t{1.5}, 0.0, 0.0);
+    EXPECT_DOUBLE_EQ(s.read(60_degC, rng).value(), 61.5);
 }
 
 TEST(Sensors, QuantizationSnapsToGrid) {
     util::pcg32 rng(2);
-    thermal::temperature_sensor s("t", [] { return util::celsius_t{60.13}; },
-                                  util::celsius_t{0.0}, 0.0, 0.25, rng);
-    EXPECT_DOUBLE_EQ(s.read().value(), 60.25);
+    thermal::temperature_sensor s("t", util::celsius_t{0.0}, 0.0, 0.25);
+    EXPECT_DOUBLE_EQ(s.read(util::celsius_t{60.13}, rng).value(), 60.25);
 }
 
 TEST(Sensors, NoiseHasExpectedSpread) {
     util::pcg32 rng(3);
-    thermal::temperature_sensor s("t", [] { return 60_degC; }, util::celsius_t{0.0}, 0.5, 0.0,
-                                  rng);
+    thermal::temperature_sensor s("t", util::celsius_t{0.0}, 0.5, 0.0);
     double acc = 0.0;
     double acc2 = 0.0;
     constexpr int n = 5000;
     for (int i = 0; i < n; ++i) {
-        const double v = s.read().value();
+        const double v = s.read(60_degC, rng).value();
         acc += v;
         acc2 += v * v;
     }
@@ -234,20 +231,16 @@ TEST(Sensors, NoiseHasExpectedSpread) {
 }
 
 TEST(Sensors, ServerSuiteHasPaperComplement) {
-    util::pcg32 rng(4);
-    const auto suite = thermal::make_server_sensors([](std::size_t) { return 60_degC; },
-                                                    [] { return 45_degC; }, 32, rng);
+    const auto suite = thermal::make_server_sensors(32);
     EXPECT_EQ(suite.cpu.size(), 4U);    // 2 per die
     EXPECT_EQ(suite.dimm.size(), 32U);  // 1 per DIMM
 }
 
 TEST(Sensors, DimmGradientSpreadsReadings) {
     util::pcg32 rng(5);
-    auto suite = thermal::make_server_sensors([](std::size_t) { return 60_degC; },
-                                              [] { return 45_degC; }, 32, rng,
-                                              /*noise=*/0.0, /*quantum=*/0.0);
-    const double first = suite.dimm.front().read().value();
-    const double last = suite.dimm.back().read().value();
+    const auto suite = thermal::make_server_sensors(32, /*noise=*/0.0, /*quantum=*/0.0);
+    const double first = suite.dimm.front().read(45_degC, rng).value();
+    const double last = suite.dimm.back().read(45_degC, rng).value();
     EXPECT_NEAR(last - first, 3.0, 1e-9);  // positional gradient
 }
 
