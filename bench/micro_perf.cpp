@@ -21,8 +21,7 @@
 #include "sim/server_simulator.hpp"
 #include "sim/simulation_trace.hpp"
 #include "telemetry_service/online_metrics.hpp"
-#include "telemetry_service/row_group.hpp"
-#include "util/spsc_ring.hpp"
+#include "telemetry_service/service.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "workload/loadgen.hpp"
@@ -244,6 +243,23 @@ BENCHMARK(BM_FleetStep)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+void BM_FleetStepServed(benchmark::State& state) {
+    // BM_FleetStep with a telemetry service attached (HTTP off): each
+    // shard step also folds its new row-group into the service's online
+    // state on the stepping thread.  Read against BM_FleetStep at the
+    // same args for the ingest's share of a step.
+    const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+    const std::size_t shards = static_cast<std::size_t>(state.range(1));
+    sim::fleet& fleet = warm_fleet(lanes, shards);
+    telemetry_service::service_config cfg;
+    cfg.enable_http = false;
+    const telemetry_service::service svc(fleet, cfg);
+    const auto step = [&] { fleet.step(1_s); };
+    time_steps_on_warm_traces(state, kFleetClearEvery, step, [&] { clear_fleet_traces(fleet); });
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lanes));
+}
+BENCHMARK(BM_FleetStepServed)->Args({1024, 4})->UseRealTime()->Unit(benchmark::kMicrosecond);
+
 void BM_TraceRecord(benchmark::State& state) {
     // Pure recording cost: one columnar row append (shared timestamp +
     // 12 channel values) per simulated step.  This is the storage layer
@@ -413,43 +429,34 @@ void BM_FullTable1Cell(benchmark::State& state) {
 BENCHMARK(BM_FullTable1Cell);
 
 void BM_TelemetryIngest(benchmark::State& state) {
-    // The telemetry service's per-group ingestion pipeline, minus
-    // threads: fill a ring slot with a 64-lane row-group (the publish
-    // copy), drain it, and fold it into the online state (the
-    // aggregator apply).  Items = lane-rows ingested.
+    // The telemetry service's per-step ingest: fold one 64-lane
+    // row-group in place from a shard's batch_trace arena into the
+    // shard's online state (what service::on_shard_step does on the
+    // stepping thread, minus the lock).  The arena holds exactly one
+    // 60-row window, filled untimed; cycling through it closes every
+    // lane's window as its groups wrap, so the fold restarts a fresh
+    // window at t = 0 and time never runs backwards inside one.
+    // Items = lane-rows ingested.
     constexpr std::size_t lanes = 64;
-    telemetry_service::row_group proto;
-    proto.shard = 0;
-    proto.lanes = lanes;
-    proto.active.assign((lanes + 63) / 64, ~0ULL);
-    proto.data.assign(lanes * telemetry_service::row_group::lane_doubles, 0.0);
     telemetry_service::online_state online(lanes);
-    util::spsc_ring<telemetry_service::row_group> ring(8);
-    telemetry_service::row_group scratch;
-    double t = 0.0;
-    std::uint64_t epoch = 0;
-    for (auto _ : state) {
-        t += 1.0;
-        ++epoch;
+    const std::size_t groups = online.config().window_rows;
+    sim::batch_trace trace(lanes);
+    sim::trace_row row;
+    for (std::size_t g = 0; g < groups; ++g) {
         for (std::size_t l = 0; l < lanes; ++l) {
-            double* slot = proto.data.data() +
-                           l * telemetry_service::row_group::lane_doubles;
-            slot[0] = t;
-            slot[1 + static_cast<std::size_t>(sim::trace_channel::total_power)] =
+            row.values[static_cast<std::size_t>(sim::trace_channel::total_power)] =
                 250.0 + static_cast<double>(l);
-            slot[1 + static_cast<std::size_t>(sim::trace_channel::max_sensor_temp)] =
-                60.0 + static_cast<double>(l % 7);
+            row.values[static_cast<std::size_t>(sim::trace_channel::max_sensor_temp)] =
+                60.0 + static_cast<double>((l + g) % 7);
+            trace.append(l, static_cast<double>(g), row);
         }
-        ring.try_push([&](telemetry_service::row_group& g) {
-            g.epoch = epoch;
-            g.shard = proto.shard;
-            g.lanes = proto.lanes;
-            g.active = proto.active;
-            g.data = proto.data;
-        });
-        ring.try_pop([&](telemetry_service::row_group& g) { scratch = std::move(g); });
-        online.apply_group(scratch, 0);
     }
+    std::size_t group = 0;
+    for (auto _ : state) {
+        online.apply_group(trace, group);
+        group = group + 1 == groups ? 0 : group + 1;
+    }
+    benchmark::DoNotOptimize(online.rows());
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(lanes));
 }

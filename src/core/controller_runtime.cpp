@@ -1,6 +1,8 @@
 #include "core/controller_runtime.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -9,11 +11,19 @@ namespace ltsc::core {
 
 namespace {
 
-/// One controller decision on one lane: gathers the controller_inputs,
-/// asks the policy, and actuates the returned fan commands.
+/// One controller decision on one lane: gathers the controller_inputs
+/// into the lane's scratch `in`, asks the policy, and actuates the
+/// returned fan commands.  Every field of `in` is reset; its vectors
+/// keep their capacity, so a decision allocates nothing once warm.
 void poll_and_actuate(sim::server_batch& batch, std::size_t lane, fan_controller& controller,
-                      const runtime_config& config) {
-    controller_inputs in;
+                      const runtime_config& config, controller_inputs& in) {
+    std::vector<util::rpm_t> zone_rpm = std::move(in.zone_rpm);
+    std::vector<std::uint8_t> fan_health = std::move(in.fan_health);
+    in = controller_inputs{};
+    in.zone_rpm = std::move(zone_rpm);
+    in.zone_rpm.clear();
+    in.fan_health = std::move(fan_health);
+    in.fan_health.clear();
     in.now = batch.now(lane);
     in.utilization_pct = batch.measured_utilization(lane, config.util_window);
     in.max_cpu_temp = batch.max_cpu_sensor_temp(lane);
@@ -38,7 +48,6 @@ void poll_and_actuate(sim::server_batch& batch, std::size_t lane, fan_controller
         for (std::size_t s = 0; s < mon->sensor_count() && s < in.sensor_health.size(); ++s) {
             in.sensor_health[s] = static_cast<std::uint8_t>(mon->sensor_health(s));
         }
-        in.fan_health.reserve(mon->fan_pair_count());
         for (std::size_t p = 0; p < mon->fan_pair_count(); ++p) {
             in.fan_health.push_back(static_cast<std::uint8_t>(mon->fan_health(p)));
         }
@@ -119,6 +128,7 @@ std::vector<sim::run_metrics> run_batch_lanes(sim::server_batch& batch,
 
     std::vector<double> period(n);
     std::vector<double> next_decision(n, 0.0);
+    std::vector<controller_inputs> inputs(n);  // Per-lane decision scratch.
     for (std::size_t l = 0; l < n; ++l) {
         batch.bind_workload(l, profiles[l]);
     }
@@ -149,7 +159,7 @@ std::vector<sim::run_metrics> run_batch_lanes(sim::server_batch& batch,
             if (batch.now(l).value() + 1e-9 < next_decision[l]) {
                 continue;
             }
-            poll_and_actuate(batch, l, *controllers[l], config);
+            poll_and_actuate(batch, l, *controllers[l], config, inputs[l]);
             next_decision[l] += period[l];
         }
         batch.step(config.sim_dt);

@@ -41,9 +41,12 @@ struct fleet_config {
 /// `s` finishes a step, `on_shard_step` runs *on the pool thread that
 /// stepped the shard*, before the step's barrier.  Calls for one shard
 /// are serialized across steps by that barrier (a happens-before edge
-/// even when the stepping thread changes), so a per-shard SPSC ring is
-/// a valid sink.  Implementations must not touch other shards or the
-/// fleet itself from the callback.
+/// even when the stepping thread changes), so a sink may keep per-shard
+/// state that only these calls write — the telemetry service folds the
+/// shard's new row-group into it in place, guarded against concurrent
+/// readers by a per-shard lock.  The step waits for the callback, so its
+/// cost lands on the step.  Implementations must not touch other shards
+/// or the fleet itself from the callback.
 class fleet_sink {
 public:
     virtual ~fleet_sink() = default;

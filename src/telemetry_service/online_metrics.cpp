@@ -85,15 +85,16 @@ online_state::online_state(std::size_t lanes, online_config cfg)
     }
 }
 
-void online_state::apply_group(const row_group& g, std::size_t lane_offset) {
-    util::ensure(lane_offset + g.lanes <= lanes_.size(),
-                 "online_state::apply_group: lane range out of bounds");
-    for (std::size_t l = 0; l < g.lanes; ++l) {
-        if (!g.lane_valid(l)) {
+void online_state::apply_group(const sim::batch_trace& trace, std::size_t group) {
+    util::ensure(trace.lane_count() == lanes_.size(),
+                 "online_state::apply_group: trace lane count != state lane count");
+    const double* data = trace.group_data(group);
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+        if (!trace.lane_in_group(l, group)) {
             continue;
         }
-        const double* slot = g.lane_data(l);
-        apply_row(lane_offset + l, slot[0], slot + 1);
+        const double* slot = data + l * sim::batch_trace::slot_doubles;
+        apply_row(l, slot[0], slot + 1);
     }
     ++row_groups_;
 }

@@ -15,8 +15,9 @@
 // On top of the per-lane windows the engine keeps fleet-wide rollups no
 // post-hoc pass could serve live: guard-trip row counts, monitor-health
 // alarm rows, and thermal-margin percentiles from a fixed-bin
-// histogram.  Nothing here is thread-safe; the telemetry service
-// serializes writers and snapshots readers around it.
+// histogram.  Nothing here is thread-safe; the telemetry service keeps
+// one online_state per fleet shard and serializes writers and readers
+// around each under that shard's lock.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/batch_trace.hpp"
 #include "sim/metrics.hpp"
-#include "telemetry_service/row_group.hpp"
 #include "util/histogram.hpp"
 
 namespace ltsc::telemetry_service {
@@ -97,7 +98,8 @@ struct lane_window {
     std::uint64_t rows = 0;             ///< Lifetime rows ingested.
 };
 
-/// The whole fleet's online metrics: per-lane windows + global rollups.
+/// Online metrics over a block of lanes (one fleet shard's): per-lane
+/// windows + rollups over those lanes.
 class online_state {
 public:
     online_state(std::size_t lanes, online_config cfg = {});
@@ -105,12 +107,13 @@ public:
     [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
     [[nodiscard]] const online_config& config() const { return cfg_; }
 
-    /// Applies one published row-group; `lane_offset` maps the group's
-    /// shard-local lanes onto global lane indices.
-    void apply_group(const row_group& g, std::size_t lane_offset);
+    /// Folds row-group `group` of `trace` in place: lane l of the trace
+    /// is lane l of this state (so the trace's lane count must match),
+    /// and lanes that recorded no row in the group are skipped.
+    void apply_group(const sim::batch_trace& trace, std::size_t group);
 
-    /// Applies one row to one global lane (the group apply unrolled;
-    /// exposed for tests and the ingest micro-benchmark).
+    /// Applies one row to one lane (the group apply unrolled; exposed
+    /// for tests and the ingest micro-benchmark).
     void apply_row(std::size_t lane, double t, const double* channels);
 
     [[nodiscard]] const lane_window& lane(std::size_t lane) const;

@@ -1,20 +1,26 @@
-// Telemetry-service suite: the SPSC ring is order-preserving under a
-// concurrent producer/consumer (hammered under TSan in CI), closed
-// online windows are bitwise-equal to post-hoc sim::compute_metrics
-// over the same rows (healthy, faulted, and monitored fleets), and
-// attaching the service leaves every fleet trace channel
-// bitwise-identical to an unobserved twin.
+// Telemetry-service suite: closed online windows are bitwise-equal to
+// post-hoc sim::compute_metrics over the same rows (healthy, faulted,
+// and monitored fleets), attaching the service leaves every fleet trace
+// channel bitwise-identical to an unobserved twin, ingest folds every
+// row whatever the pollers and the scheduler do (hammered under TSan in
+// CI), and the HTTP request parser survives split, pipelined, malformed
+// and oversized requests.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +33,6 @@
 #include "telemetry_service/service.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
-#include "util/spsc_ring.hpp"
 #include "workload/paper_tests.hpp"
 #include "workload/profile.hpp"
 
@@ -94,62 +99,6 @@ void expect_window_equals_posthoc(const telemetry_service::lane_window& w,
     EXPECT_EQ(w.metrics.fan_changes, 0u);
 }
 
-// --- SpscRing ---------------------------------------------------------------
-
-TEST(SpscRing, PushPopPreservesOrderAndBounds) {
-    util::spsc_ring<std::uint64_t> ring(4);
-    EXPECT_TRUE(ring.empty());
-    EXPECT_GE(ring.capacity(), 4u);
-    std::size_t pushed = 0;
-    while (ring.try_push([&](std::uint64_t& slot) { slot = pushed; })) {
-        ++pushed;
-    }
-    EXPECT_EQ(pushed, ring.capacity());
-    EXPECT_EQ(ring.size(), ring.capacity());
-    std::uint64_t expect = 0;
-    std::uint64_t got = 0;
-    while (ring.try_pop([&](std::uint64_t& slot) { got = slot; })) {
-        EXPECT_EQ(got, expect);
-        ++expect;
-    }
-    EXPECT_EQ(expect, pushed);
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-    EXPECT_EQ(util::spsc_ring<int>(1).capacity(), 1u);
-    EXPECT_EQ(util::spsc_ring<int>(3).capacity(), 4u);
-    EXPECT_EQ(util::spsc_ring<int>(64).capacity(), 64u);
-    EXPECT_EQ(util::spsc_ring<int>(65).capacity(), 128u);
-}
-
-TEST(SpscRing, ConcurrentHammerDeliversEverySlotInOrder) {
-    constexpr std::uint64_t k_items = 50000;
-    util::spsc_ring<std::uint64_t> ring(64);
-    std::thread producer([&] {
-        std::uint64_t next = 0;
-        while (next < k_items) {
-            if (ring.try_push([&](std::uint64_t& slot) { slot = next; })) {
-                ++next;
-            } else {
-                std::this_thread::yield();  // Single-core CI: let the consumer run.
-            }
-        }
-    });
-    std::uint64_t expect = 0;
-    std::uint64_t got = 0;
-    while (expect < k_items) {
-        if (ring.try_pop([&](std::uint64_t& slot) { got = slot; })) {
-            ASSERT_EQ(got, expect);
-            ++expect;
-        } else {
-            std::this_thread::yield();
-        }
-    }
-    producer.join();
-    EXPECT_TRUE(ring.empty());
-}
-
 // --- Histogram --------------------------------------------------------------
 
 TEST(Histogram, QuantilesClampAndMerge) {
@@ -204,7 +153,6 @@ TEST(OnlineMetrics, ClosedWindowsBitwiseMatchComputeMetrics) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(100.0_s, 1.0_s);
-    svc.drain();
 
     for (std::size_t l = 0; l < f.lane_count(); ++l) {
         SCOPED_TRACE("lane " + std::to_string(l));
@@ -234,7 +182,6 @@ TEST(OnlineMetrics, FaultedMonitoredFleetWindowsStayBitwiseEqual) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(120.0_s, 1.0_s);
-    svc.drain();
 
     std::uint64_t sensor_rows = 0;
     std::uint64_t fan_rows = 0;
@@ -277,7 +224,6 @@ TEST(TelemetryService, AttachedFleetTracesBitwiseIdentical) {
         telemetry_service::service svc(observed, cfg);
         observed.advance(80.0_s, 1.0_s);
         unobserved.advance(80.0_s, 1.0_s);
-        svc.drain();
     }
 
     for (std::size_t l = 0; l < observed.lane_count(); ++l) {
@@ -304,33 +250,28 @@ TEST(TelemetryService, EpochsAndCountersAccountForEveryStep) {
 
     telemetry_service::service_config cfg;
     cfg.enable_http = false;
-    cfg.ring_slots = 8;
     telemetry_service::service svc(f, cfg);
 
     f.advance(50.0_s, 1.0_s);
-    svc.drain();
 
     const telemetry_service::ingest_stats st = svc.stats();
-    EXPECT_EQ(st.published_groups + st.dropped_groups,
-              50u * f.shard_count());
+    EXPECT_EQ(st.published_groups, 50u * f.shard_count());
+    EXPECT_EQ(st.dropped_groups, 0u);
     EXPECT_EQ(st.applied_groups, st.published_groups);
 
     const telemetry_service::fleet_snapshot snap = svc.metrics();
     EXPECT_EQ(snap.shards, f.shard_count());
     EXPECT_EQ(snap.lanes, f.lane_count());
-    if (st.dropped_groups == 0) {
-        EXPECT_EQ(snap.complete_epoch, 50u);
-        EXPECT_EQ(snap.rows, 50u * f.lane_count());
-    }
+    EXPECT_EQ(snap.complete_epoch, 50u);
+    EXPECT_EQ(snap.rows, 50u * f.lane_count());
     for (const std::uint64_t e : snap.shard_epochs) {
-        EXPECT_LE(e, 50u);
+        EXPECT_EQ(e, 50u);
     }
 }
 
 TEST(TelemetryService, SurvivesTraceClearsBetweenSteps) {
     // The soak driver clears lane traces periodically so the arena stays
-    // bounded; publication must keep flowing across the group-number
-    // reset.
+    // bounded; ingest must keep flowing across the group-number reset.
     sim::fleet f(make_configs(4), fleet_cfg(2, 1));
     bind_workloads(f);
     f.force_cold_start();
@@ -342,18 +283,38 @@ TEST(TelemetryService, SurvivesTraceClearsBetweenSteps) {
     for (int k = 0; k < 30; ++k) {
         f.step(1.0_s);
         if (k % 7 == 6) {
-            svc.drain();  // Let the copies land before the arena resets.
             for (std::size_t l = 0; l < f.lane_count(); ++l) {
                 f.clear_trace(l);
             }
         }
     }
-    svc.drain();
     const telemetry_service::ingest_stats st = svc.stats();
-    EXPECT_EQ(st.published_groups + st.dropped_groups, 30u * f.shard_count());
-    if (st.dropped_groups == 0) {
-        EXPECT_EQ(svc.stats().rows, 30u * f.lane_count());
-    }
+    EXPECT_EQ(st.published_groups, 30u * f.shard_count());
+    EXPECT_EQ(st.dropped_groups, 0u);
+    EXPECT_EQ(st.rows, 30u * f.lane_count());
+    EXPECT_EQ(svc.metrics().complete_epoch, 30u);
+}
+
+TEST(TelemetryService, MetricsBitwiseIndependentOfThreadCount) {
+    // Fleet rollups sum shard by shard in shard order, so the served
+    // JSON (closed_energy_kwh included) cannot depend on which pool
+    // thread stepped which shard.
+    const auto run = [](std::size_t threads) {
+        sim::fleet f(make_configs(8), fleet_cfg(4, threads));
+        bind_workloads(f);
+        f.force_cold_start();
+        telemetry_service::service_config cfg;
+        cfg.online.window_rows = 7;
+        cfg.enable_http = false;
+        telemetry_service::service svc(f, cfg);
+        f.advance(150.0_s, 1.0_s);
+        return svc.metrics_json();
+    };
+    const std::string one = run(1);
+    const std::string four = run(4);
+    EXPECT_EQ(one, four);
+    EXPECT_NE(one.find("\"complete_epoch\":150"), std::string::npos) << one;
+    EXPECT_EQ(one.find("\"closed_energy_kwh\":0,"), std::string::npos) << one;
 }
 
 /// Minimal blocking HTTP GET against 127.0.0.1:`port` (test-only; the
@@ -409,7 +370,6 @@ TEST(TelemetryService, HttpEndpointsServeChecksummedJson) {
     telemetry_service::service svc(f, cfg);
 
     f.advance(30.0_s, 1.0_s);
-    svc.drain();
 
     int status = 0;
     const std::string metrics = http_get(svc.http_port(), "/metrics", &status);
@@ -472,8 +432,226 @@ TEST(TelemetryService, ConcurrentPollersSeeConsistentSnapshots) {
         t.join();
     }
     EXPECT_FALSE(fail.load());
-    svc.drain();
     EXPECT_EQ(svc.stats().applied_groups, svc.stats().published_groups);
+}
+
+TEST(TelemetryService, MetricsPollersLoseNoRowWhileFleetSteps) {
+    // Pollers hammer /metrics over keep-alive-free connections while the
+    // fleet steps flat out: every response verifies, no poller sees the
+    // epoch watermark go backwards, and afterwards every row is folded.
+    sim::fleet f(make_configs(6), fleet_cfg(3, 3));
+    bind_workloads(f);
+    f.force_cold_start();
+
+    telemetry_service::service_config cfg;
+    cfg.online.window_rows = 10;
+    cfg.http_threads = 2;
+    telemetry_service::service svc(f, cfg);
+    const std::uint16_t port = svc.http_port();
+
+    std::atomic<bool> fail{false};
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> answered{0};
+    std::vector<std::thread> pollers;
+    pollers.reserve(4);
+    for (int p = 0; p < 4; ++p) {
+        pollers.emplace_back([&] {
+            std::uint64_t last_epoch = 0;
+            while (!stop.load(std::memory_order_acquire)) {
+                int status = 0;
+                const std::string body = http_get(port, "/metrics", &status);
+                const std::size_t at = body.find("\"complete_epoch\":");
+                if (status != 200 || !checksum_ok(body) || at == std::string::npos) {
+                    fail.store(true, std::memory_order_release);
+                    return;
+                }
+                const std::uint64_t epoch = std::strtoull(body.c_str() + at + 17, nullptr, 10);
+                if (epoch < last_epoch) {
+                    fail.store(true, std::memory_order_release);
+                    return;
+                }
+                last_epoch = epoch;
+                answered.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    // At least 200 steps, and on until the pollers have been answered
+    // a few times mid-run (a loaded host can delay their first request).
+    std::uint64_t steps = 0;
+    while (steps < 200 || (answered.load() < 8 && !fail.load())) {
+        f.step(1.0_s);
+        ++steps;
+    }
+    stop.store(true, std::memory_order_release);
+    for (auto& t : pollers) {
+        t.join();
+    }
+    EXPECT_FALSE(fail.load());
+    const telemetry_service::ingest_stats st = svc.stats();
+    EXPECT_EQ(st.rows, steps * f.lane_count());
+    EXPECT_EQ(st.published_groups, steps * f.shard_count());
+    EXPECT_EQ(st.dropped_groups, 0u);
+    EXPECT_EQ(svc.metrics().complete_epoch, steps);
+    for (std::size_t l = 0; l < f.lane_count(); ++l) {
+        const telemetry_service::lane_window w = svc.lane_window_snapshot(l);
+        EXPECT_EQ(w.rows, steps);
+        EXPECT_EQ(w.closed, steps / 10);
+    }
+}
+
+// --- TelemetryServiceHttp: the request parser over raw sockets -------------
+
+/// Connects to 127.0.0.1:`port` with a 5 s receive timeout, so a parser
+/// that stalls fails the test instead of hanging it.
+int connect_loopback(std::uint16_t port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+}
+
+void send_raw(int fd, const std::string& bytes) {
+    EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+}
+
+/// Everything the server sends until it closes the connection.  Sets
+/// `*timed_out` when the server neither answered nor closed within the
+/// receive timeout.
+std::string read_until_close(int fd, bool* timed_out) {
+    std::string out;
+    char buf[4096];
+    *timed_out = false;
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n > 0) {
+            out.append(buf, static_cast<std::size_t>(n));
+            continue;
+        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            *timed_out = true;
+        }
+        return out;  // 0: orderly close; ECONNRESET: closed with unread input.
+    }
+}
+
+/// Status codes of the responses in `raw`, in order.
+std::vector<int> statuses(const std::string& raw) {
+    std::vector<int> out;
+    for (std::size_t pos = raw.find("HTTP/1.1 "); pos != std::string::npos;
+         pos = raw.find("HTTP/1.1 ", pos + 9)) {
+        out.push_back(std::atoi(raw.c_str() + pos + 9));
+    }
+    return out;
+}
+
+/// A small served fleet for the parser cases.
+struct served_fleet {
+    served_fleet() : fleet(make_configs(2), fleet_cfg(1, 1)) {
+        bind_workloads(fleet);
+        fleet.force_cold_start();
+        telemetry_service::service_config cfg;
+        cfg.http_threads = 1;
+        svc = std::make_unique<telemetry_service::service>(fleet, cfg);
+        fleet.advance(5.0_s, 1.0_s);
+    }
+
+    /// The endpoint still answers a well-formed request.
+    void expect_alive() const {
+        int status = 0;
+        const std::string body = http_get(svc->http_port(), "/health", &status);
+        EXPECT_EQ(status, 200);
+        EXPECT_TRUE(checksum_ok(body)) << body;
+    }
+
+    sim::fleet fleet;
+    std::unique_ptr<telemetry_service::service> svc;
+};
+
+TEST(TelemetryServiceHttp, RequestHeadSplitAcrossSendsIsAnswered) {
+    served_fleet s;
+    const int fd = connect_loopback(s.svc->http_port());
+    const std::vector<std::string> parts = {"GET /hea", "lth HTTP/1.1\r", "\nHost: x\r\nConn",
+                                            "ection: close\r\n", "\r", "\n"};
+    for (const std::string& part : parts) {
+        send_raw(fd, part);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    bool timed_out = false;
+    const std::string raw = read_until_close(fd, &timed_out);
+    ::close(fd);
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(statuses(raw), std::vector<int>{200}) << raw;
+    EXPECT_NE(raw.find("\"status\":\"ok\""), std::string::npos) << raw;
+}
+
+TEST(TelemetryServiceHttp, PipelinedRequestsAreAnsweredInOrder) {
+    served_fleet s;
+    const int fd = connect_loopback(s.svc->http_port());
+    send_raw(fd,
+             "GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+             "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+             "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+    bool timed_out = false;
+    const std::string raw = read_until_close(fd, &timed_out);
+    ::close(fd);
+    EXPECT_FALSE(timed_out);
+    EXPECT_EQ(statuses(raw), (std::vector<int>{200, 404, 200})) << raw;
+    const std::size_t health = raw.find("\"status\":\"ok\"");
+    const std::size_t missing = raw.find("\"error\":\"not found\"");
+    const std::size_t metrics = raw.find("\"shard_epochs\"");
+    ASSERT_NE(health, std::string::npos) << raw;
+    ASSERT_NE(missing, std::string::npos) << raw;
+    ASSERT_NE(metrics, std::string::npos) << raw;
+    EXPECT_LT(health, missing);
+    EXPECT_LT(missing, metrics);
+}
+
+TEST(TelemetryServiceHttp, MalformedRequestLinesGetAClientErrorOrAClose) {
+    served_fleet s;
+    const std::vector<std::string> heads = {
+        "\r\n\r\n",
+        "GET\r\n\r\n",
+        "GET /metrics\r\n\r\n",
+        "POST /metrics HTTP/1.1\r\n\r\n",
+        std::string("G\0T /\xff\x01 HTTP/1.1\r\n\r\n", 20),
+        "GET  HTTP/1.1\r\n\r\n",
+    };
+    for (const std::string& head : heads) {
+        SCOPED_TRACE(head);
+        const int fd = connect_loopback(s.svc->http_port());
+        send_raw(fd, head + "GET /health HTTP/1.1\r\nConnection: close\r\n\r\n");
+        bool timed_out = false;
+        const std::string raw = read_until_close(fd, &timed_out);
+        ::close(fd);
+        EXPECT_FALSE(timed_out);
+        const std::vector<int> got = statuses(raw);
+        if (!got.empty()) {
+            EXPECT_GE(got.front(), 400) << raw;
+            EXPECT_LT(got.front(), 500) << raw;
+        }
+    }
+    s.expect_alive();
+}
+
+TEST(TelemetryServiceHttp, OversizedRequestHeadClosesTheConnection) {
+    served_fleet s;
+    const int fd = connect_loopback(s.svc->http_port());
+    // 17 KiB of header with no blank line: past the 16 KiB head bound.
+    send_raw(fd, "GET /metrics HTTP/1.1\r\nX-Pad: " + std::string(17 * 1024, 'a'));
+    bool timed_out = false;
+    const std::string raw = read_until_close(fd, &timed_out);
+    ::close(fd);
+    EXPECT_FALSE(timed_out);
+    EXPECT_TRUE(raw.empty()) << raw.substr(0, 200);
+    s.expect_alive();
 }
 
 }  // namespace
